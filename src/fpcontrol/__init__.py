@@ -1,61 +1,4 @@
 """Combination-therapy schedule optimization for a stochastic
 tumor-immune model, via density-constrained open-loop control."""
 
-from .adjoint import (
-    AdjointField,
-    ControlGradient,
-    adjoint_gradient,
-    gradient_check,
-    objective,
-    reduced_gradient,
-    solve_adjoint,
-    solve_adjoint_continuous,
-)
-from .errors import (
-    DivergenceError,
-    FpControlError,
-    LineSearchError,
-    MassDeviationError,
-    ReflectionError,
-    ScenarioError,
-    SingularOperatorError,
-    SolverError,
-)
-from .fpsolver import (
-    DensityField,
-    ForwardDiagnostics,
-    build_fp_stepper,
-    cc_weight,
-    face_flux,
-    mean_state,
-    solve_forward,
-    step_dg4,
-    total_mass,
-)
-from .grid import Grid4D
-from .model import (
-    ControlSchedule,
-    DimensionalParams,
-    DispersionSpec,
-    NonDimParams,
-    ScalingConstants,
-    State,
-    dispersion,
-    drift,
-    kill_term,
-    nondimensionalize,
-    redimensionalize,
-)
-from .ode import Trajectory, integrate
-from .pipeline import (
-    FpControlProblem,
-    RunReport,
-    dimensionalize_controls,
-    run_pipeline,
-)
-from .pncg import OptimizationTrace, PncgConfig, armijo_step, hager_zhang_beta, pncg, project
-from .scenario import Scenario, load_scenario
-from .sde import PathEnsemble, marginal_histogram, sample_gaussian_in_box, simulate_paths
-from .target import TargetDensity, build_target, gaussian_on_grid
-
 __version__ = "0.1.0"

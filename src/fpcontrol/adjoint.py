@@ -6,11 +6,6 @@ through its predictor, its implicit corrections, and the dose
 dependence of the Chang-Cooper fluxes (including the fitting weight).
 That makes the gradient consistent with the discrete objective to
 rounding, which central finite differences verify.
-
-A direct discretization of the backward-in-time mismatch equation (with
-its density-weighted advection term and homogeneous Neumann walls) is
-kept alongside purely for comparison runs; discrepancies between the
-two are reported, never hidden.
 """
 
 from __future__ import annotations
@@ -23,15 +18,10 @@ from .fpsolver import DensityField, DgStepper, build_fp_stepper
 from .grid import Grid4D
 from .model import ControlSchedule, DispersionSpec, NonDimParams
 from .target import TargetDensity
-from .tridiag import thomas_solve
 
 __all__ = [
-    "AdjointField",
     "ControlGradient",
     "objective",
-    "solve_adjoint",
-    "solve_adjoint_continuous",
-    "reduced_gradient",
     "adjoint_gradient",
     "gradient_check",
 ]
@@ -53,25 +43,6 @@ class ControlGradient:
     def __post_init__(self):
         if not (np.all(np.isfinite(self.g1)) and np.all(np.isfinite(self.g2))):
             raise ValueError("gradient must be finite")
-
-
-class AdjointField:
-    """Adjoint snapshots for every time step, filled backward."""
-
-    def __init__(self, grid: Grid4D, times: np.ndarray):
-        self.grid = grid
-        self.times = np.asarray(times, dtype=float)
-        self._data = np.zeros((self.times.size,) + grid.shape)
-
-    @property
-    def n_steps(self) -> int:
-        return self.times.size - 1
-
-    def snapshot(self, m: int) -> np.ndarray:
-        return self._data[m]
-
-    def store(self, m: int, p: np.ndarray) -> None:
-        self._data[m] = p
 
 
 def time_weights(times: np.ndarray) -> np.ndarray:
@@ -124,34 +95,29 @@ def adjoint_gradient(
     nu2: float,
     disp: DispersionSpec | None = None,
     stepper: DgStepper | None = None,
-    adjoint_out: AdjointField | None = None,
 ) -> ControlGradient:
     """One backward sweep producing the exact discrete gradient.
 
     Walks the stored forward history from the final time to the start,
     recomputing each step's stages from its snapshot, applying the
     transposed propagator to the running adjoint, and accumulating the
-    dose sensitivities of every flux on the way. Storing the adjoint
-    history is optional so large runs can stay within memory.
+    dose sensitivities of every flux on the way. Only the running
+    adjoint is held, so large runs stay within memory.
     """
     _check_alignment(f, f_star)
     grid = f.grid
     if stepper is None:
-        stepper = build_fp_stepper(grid, q, disp if disp is not None else DispersionSpec())
+        stepper = build_fp_stepper(grid, q, disp)
     times = u.times
     wt = time_weights(times)
     dt = float(times[1] - times[0])
     n_steps = f.n_steps
     ndim = stepper.ndim
 
-    euclid_g1 = np.zeros(times.size)
-    euclid_g2 = np.zeros(times.size)
-    euclid_g1[:] = nu1 * wt * u.u1
-    euclid_g2[:] = nu2 * wt * u.u2
+    euclid_g1 = nu1 * wt * u.u1
+    euclid_g2 = nu2 * wt * u.u2
 
     p = _mismatch_source(grid, f.snapshot(n_steps), f_star.snapshot(n_steps), alpha, wt[n_steps])
-    if adjoint_out is not None:
-        adjoint_out.store(n_steps, p)
 
     for m in range(n_steps - 1, -1, -1):
         u_m = u.at_index(m)
@@ -173,177 +139,8 @@ def adjoint_gradient(
             acc[m] += total
 
         p = p_prev + _mismatch_source(grid, f_m, f_star.snapshot(m), alpha, wt[m])
-        if adjoint_out is not None:
-            adjoint_out.store(m, p)
 
     return ControlGradient(times=times.copy(), g1=euclid_g1 / wt, g2=euclid_g2 / wt)
-
-
-def solve_adjoint(
-    f: DensityField,
-    f_star: TargetDensity,
-    u: ControlSchedule,
-    q: NonDimParams,
-    alpha: float,
-    disp: DispersionSpec | None = None,
-    stepper: DgStepper | None = None,
-) -> AdjointField:
-    """Backward sweep of the discrete adjoint with full storage."""
-    out = AdjointField(f.grid, u.times)
-    adjoint_gradient(f, f_star, u, q, alpha, 0.0, 0.0, disp=disp, stepper=stepper,
-                     adjoint_out=out)
-    return out
-
-
-def reduced_gradient(
-    f: DensityField,
-    p: AdjointField,
-    u: ControlSchedule,
-    q: NonDimParams,
-    nu1: float,
-    nu2: float,
-    disp: DispersionSpec | None = None,
-    stepper: DgStepper | None = None,
-) -> ControlGradient:
-    """Assemble the dose gradient from a stored adjoint history.
-
-    Reconstructs each step's stages and stage adjoints from the two
-    stored fields; identical to the fused sweep's output.
-    """
-    grid = f.grid
-    if stepper is None:
-        stepper = build_fp_stepper(grid, q, disp if disp is not None else DispersionSpec())
-    times = u.times
-    wt = time_weights(times)
-    dt = float(times[1] - times[0])
-    ndim = stepper.ndim
-
-    euclid_g1 = nu1 * wt * u.u1
-    euclid_g2 = nu2 * wt * u.u2
-
-    for m in range(f.n_steps):
-        u_m = u.at_index(m)
-        f_m = f.snapshot(m)
-        _, bands, _, stages = stepper.step(f_m, u_m, dt, capture_stages=True)
-        v = p.snapshot(m + 1)
-        qstages = [None] * ndim
-        for j in range(ndim - 1, -1, -1):
-            v = stepper._implicit_solve(j, bands[j], v, 0.5 * dt, transposed=True)
-            qstages[j] = v
-        for channel, acc in ((1, euclid_g1), (2, euclid_g2)):
-            total = 0.0
-            for j in range(ndim):
-                cbands = stepper.axes[j].control_bands(u_m[0], u_m[1], channel)
-                if cbands is None:
-                    continue
-                cf = stepper.apply_operator(j, f_m, cbands)
-                total += dt * float(np.sum(qstages[0] * cf))
-                cg = stepper.apply_operator(j, stages[j] - f_m, cbands)
-                total += 0.5 * dt * float(np.sum(qstages[j] * cg))
-            acc[m] += total
-
-    return ControlGradient(times=times.copy(), g1=euclid_g1 / wt, g2=euclid_g2 / wt)
-
-
-# ---------------------------------------------------------------------------
-# Comparison-only solver for the backward mismatch equation as printed
-
-
-def solve_adjoint_continuous(
-    f: DensityField,
-    f_star: TargetDensity,
-    u: ControlSchedule,
-    q: NonDimParams,
-    alpha: float,
-    disp: DispersionSpec | None = None,
-) -> AdjointField:
-    """Backward PDE solve with density-weighted advection.
-
-    Discretization: Douglas-Gunn in (reversed) time, one-sided
-    differences for the advection term f (F . grad p), centered
-    differences for the diffusion term, homogeneous Neumann walls, and
-    the mismatch source applied in the predictor. Terminal condition
-    p(., T) = 0 holds exactly.
-    """
-    if disp is None:
-        disp = DispersionSpec()
-    _check_alignment(f, f_star)
-    grid = f.grid
-    times = u.times
-    dt = float(times[1] - times[0])
-    n_steps = f.n_steps
-
-    stepper = build_fp_stepper(grid, q, disp)
-    xs = grid.axes()
-    dnode = []
-    for j in range(4):
-        sig = disp.sigma(xs[j])
-        dnode.append(0.5 * sig**2)
-
-    out = AdjointField(grid, times)
-    p = np.zeros(grid.shape)
-    out.store(n_steps, p)
-
-    h = grid.h
-    for m in range(n_steps - 1, -1, -1):
-        u_m = u.at_index(m)
-        f_m = f.snapshot(m)
-        source = -alpha * (f_m - f_star.snapshot(m))
-        bands = [
-            _continuous_adjoint_bands(grid, stepper, j, f_m, u_m, dnode[j], h)
-            for j in range(4)
-        ]
-        ap = [stepper.apply_operator(j, p, bands[j]) for j in range(4)]
-        g = p + dt * (sum(ap) + source)
-        for j in range(4):
-            rhs = g - 0.5 * dt * ap[j]
-            g = stepper._implicit_solve(j, bands[j], rhs, 0.5 * dt)
-        p = g
-        out.store(m, p)
-    return out
-
-
-def _continuous_adjoint_bands(grid: Grid4D, stepper: DgStepper, axis: int,
-                              f_m: np.ndarray, u_m, dnode_1d: np.ndarray, h: float):
-    """Bands of f*F*d/dx (upwinded) + d/dx(sigma^2/2 d/dx) (Neumann)."""
-    n = grid.npts[axis]
-    ax = stepper.axes[axis]
-    f_faces = ax.drift_faces(u_m[0], u_m[1])
-    f_node = np.empty(np.broadcast_shapes(f_faces.shape[:-1] + (n,), (n,)))
-    f_node[..., 1:-1] = 0.5 * (f_faces[..., :-1] + f_faces[..., 1:])
-    f_node[..., 0] = f_faces[..., 0]
-    f_node[..., -1] = f_faces[..., -1]
-
-    c = np.moveaxis(f_m, axis, -1) * f_node
-    shape = c.shape
-    lo = np.zeros(shape)
-    di = np.zeros(shape)
-    up = np.zeros(shape)
-
-    pos = np.clip(c, 0.0, None) / h
-    neg = np.clip(c, None, 0.0) / h
-    # forward difference where c > 0, backward where c < 0; one-sided
-    # inward at the walls
-    up[..., :-1] += pos[..., :-1]
-    di[..., :-1] -= pos[..., :-1]
-    di[..., -1] -= pos[..., -1]
-    lo[..., -1] += pos[..., -1]
-    di[..., 1:] += neg[..., 1:]
-    lo[..., 1:] -= neg[..., 1:]
-    di[..., 0] += neg[..., 0]
-    up[..., 0] -= neg[..., 0]
-
-    dface = 0.5 * (dnode_1d[:-1] + dnode_1d[1:])
-    up[..., :-1] += dface / h**2
-    di[..., :-1] -= dface / h**2
-    lo[..., 1:] += dface / h**2
-    di[..., 1:] -= dface / h**2
-    # Neumann mirror doubles the single interior face at each wall
-    up[..., 0] += dface[..., 0] / h**2
-    di[..., 0] -= dface[..., 0] / h**2
-    lo[..., -1] += dface[..., -1] / h**2
-    di[..., -1] -= dface[..., -1] / h**2
-    return lo, di, up
 
 
 # ---------------------------------------------------------------------------

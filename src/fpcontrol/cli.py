@@ -16,6 +16,43 @@ from .pipeline import run_forward, run_gradcheck, run_oracle, run_pipeline, run_
 from .scenario import load_scenario
 
 
+def _print_solve(report, out_dir) -> int:
+    print(f"final objective {report.final_objective:.6e} "
+          f"after {report.iterations} iterations "
+          f"(converged={report.converged})")
+    print(f"total Doxorubicin {report.total_doxorubicin_mg:.3f} mg, "
+          f"peak IL-2 {report.peak_il2_iu_per_l:.4g} IU/l/day")
+    print(f"outputs in {out_dir}")
+    if report.line_search_failed:
+        print("line search failed; best iterate reported", file=sys.stderr)
+        return 4
+    return 0
+
+
+def _print_summary(line: str):
+    def printer(info, out_dir) -> int:
+        print(line.format(**info))
+        print(f"outputs in {out_dir}")
+        return 0
+
+    return printer
+
+
+# name -> (help text, runner, summary printer returning the exit code)
+_COMMANDS = {
+    "solve": ("full pipeline: target, optimization, reports", run_pipeline, _print_solve),
+    "forward": ("untreated density solve only", run_forward,
+                _print_summary("mass deviation {max_mass_deviation:.3e}, "
+                               "min density {min_density:.3e}")),
+    "oracle": ("compare the density solver against Monte Carlo paths", run_oracle,
+               _print_summary("worst marginal L1 distance {worst_l1:.4f}")),
+    "gradcheck": ("finite-difference audit of the adjoint gradient", run_gradcheck,
+                  _print_summary("worst relative error {worst_relative_error:.3e}")),
+    "target": ("emit the target trajectory and marginals", run_target,
+               _print_summary("max target mass error {max_mass_error:.3e}")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fpcontrol",
@@ -23,14 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="log stage progress")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "solve": "full pipeline: target, optimization, reports",
-        "forward": "untreated density solve only",
-        "oracle": "compare the density solver against Monte Carlo paths",
-        "gradcheck": "finite-difference audit of the adjoint gradient",
-        "target": "emit the target trajectory and marginals",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="path to a .scenario file")
         p.add_argument("--out", default=None, help="output directory")
@@ -55,37 +85,11 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = args.out or str(Path("runs") / f"{scenario.name}-{args.command}")
-    kwargs = dict(seed=args.seed, full_scale=args.full_scale,
-                  checkpoint_every=max(1, args.checkpoint_every))
+    _, runner, summarize = _COMMANDS[args.command]
     try:
-        if args.command == "solve":
-            report = run_pipeline(scenario, out_dir, **kwargs)
-            print(f"final objective {report.final_objective:.6e} "
-                  f"after {report.iterations} iterations "
-                  f"(converged={report.converged})")
-            print(f"total Doxorubicin {report.total_doxorubicin_mg:.3f} mg, "
-                  f"peak IL-2 {report.peak_il2_iu_per_l:.4g} IU/l/day")
-            print(f"outputs in {out_dir}")
-            if report.line_search_failed:
-                print("line search failed; best iterate reported", file=sys.stderr)
-                return 4
-        elif args.command == "forward":
-            info = run_forward(scenario, out_dir, **kwargs)
-            print(f"mass deviation {info['max_mass_deviation']:.3e}, "
-                  f"min density {info['min_density']:.3e}")
-            print(f"outputs in {out_dir}")
-        elif args.command == "oracle":
-            info = run_oracle(scenario, out_dir, **kwargs)
-            print(f"worst marginal L1 distance {info['worst_l1']:.4f}")
-            print(f"outputs in {out_dir}")
-        elif args.command == "gradcheck":
-            info = run_gradcheck(scenario, out_dir, **kwargs)
-            print(f"worst relative error {info['worst_relative_error']:.3e}")
-            print(f"outputs in {out_dir}")
-        elif args.command == "target":
-            info = run_target(scenario, out_dir, **kwargs)
-            print(f"max target mass error {info['max_mass_error']:.3e}")
-            print(f"outputs in {out_dir}")
+        result = runner(scenario, out_dir, seed=args.seed, full_scale=args.full_scale,
+                        checkpoint_every=max(1, args.checkpoint_every))
+        return summarize(result, out_dir)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
@@ -95,7 +99,6 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

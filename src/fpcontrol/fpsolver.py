@@ -41,15 +41,12 @@ log = logging.getLogger(__name__)
 __all__ = [
     "cc_weight",
     "cc_weight_derivative",
-    "face_flux",
     "AxisDiscretization",
     "DgStepper",
     "build_fp_stepper",
-    "step_dg4",
     "solve_forward",
     "DensityField",
     "ForwardDiagnostics",
-    "total_mass",
     "mean_state",
 ]
 
@@ -102,23 +99,6 @@ def cc_weight_derivative(w):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def face_flux(axis: int, f_left, f_right, F_face, sigma_face, h: float):
-    """Discrete Chang-Cooper flux through one face along ``axis``.
-
-    Sign convention: positive flux moves probability toward larger
-    coordinates, matching H = (sigma^2/2) df/dx - F f.
-    """
-    sigma_face = np.asarray(sigma_face, dtype=float)
-    if np.any(sigma_face <= 0):
-        raise ValueError(f"sigma must be positive on axis {axis} faces")
-    dcoef = 0.5 * sigma_face**2
-    w = h * np.asarray(F_face, dtype=float) / dcoef
-    delta = cc_weight(w)
-    return dcoef * (np.asarray(f_right) - np.asarray(f_left)) / h - np.asarray(F_face) * (
-        delta * np.asarray(f_right) + (1.0 - delta) * np.asarray(f_left)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +314,6 @@ def build_fp_stepper(grid: Grid4D, q: NonDimParams,
 # Quadrature diagnostics
 
 
-def total_mass(f: np.ndarray, grid: Grid4D) -> float:
-    """Trapezoidal integral of a density snapshot over the box."""
-    return grid.integrate(f)
-
-
 def mean_state(f: np.ndarray, grid: Grid4D, mass_tol: float = 1e-6) -> np.ndarray:
     """Componentwise expectation of the state under a unit-mass snapshot."""
     mass = grid.integrate(f)
@@ -425,17 +400,6 @@ class DensityField:
             f = self._restepper(step, f)
         return self._window[m]
 
-    def as_array(self) -> np.ndarray:
-        """Materialize the full history (small grids only)."""
-        return np.stack([self.snapshot(m) for m in range(self.n_steps + 1)])
-
-
-def step_dg4(f_m: np.ndarray, u_m: tuple[float, float], q: NonDimParams, dt: float,
-             grid: Grid4D, disp: DispersionSpec | None = None) -> np.ndarray:
-    """One Douglas-Gunn step of the model problem (convenience wrapper)."""
-    stepper = build_fp_stepper(grid, q, disp)
-    return stepper.step(f_m, u_m, dt)
-
 
 def solve_forward(
     f0: np.ndarray,
@@ -452,8 +416,6 @@ def solve_forward(
     the gradient consume it. Coefficients within one step are frozen at
     the step's start time.
     """
-    if disp is None:
-        disp = DispersionSpec()
     if f0.shape != grid.shape:
         raise ValueError("initial density does not match the grid")
     if np.any(f0 < 0):

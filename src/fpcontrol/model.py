@@ -30,7 +30,6 @@ __all__ = [
     "kill_term",
     "drift",
     "control_jacobian_profiles",
-    "dispersion",
     "KILL_T_FLOOR",
 ]
 
@@ -279,10 +278,6 @@ class ControlSchedule:
         t = np.linspace(0.0, t_end, n_steps + 1)
         return cls(t, np.full(n_steps + 1, float(u1)), np.full(n_steps + 1, float(u2)), d1, d2)
 
-    @property
-    def n_samples(self) -> int:
-        return self.times.size
-
     def is_admissible(self, tol: float = 0.0) -> bool:
         return bool(
             np.all(self.u1 >= -tol) and np.all(self.u1 <= self.d1 + tol)
@@ -343,8 +338,6 @@ def drift(x, u: tuple[float, float], q: NonDimParams):
     Chemotherapy (u1) removes a fraction of every population,
     immunotherapy (u2) boosts the NK and CD8 pools.
     """
-    if isinstance(x, State):
-        x = x.as_array()
     T, N, L, C = x[0], x[1], x[2], x[3]
     u1, u2 = u
     D = kill_term(T, L, q)
@@ -397,13 +390,3 @@ class DispersionSpec:
         if np.any(values < 0):
             raise ValueError("dispersion input must be non-negative")
         return self.scale * (values**self.exponent + self.offset)
-
-
-def dispersion(x, spec: DispersionSpec | None = None) -> np.ndarray:
-    """Diagonal noise amplitudes sigma_i(x_i) for a 4-vector state."""
-    if spec is None:
-        spec = DispersionSpec()
-    if isinstance(x, State):
-        x = x.as_array()
-    x = np.asarray(x, dtype=float)
-    return spec.sigma(x)

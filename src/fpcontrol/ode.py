@@ -39,12 +39,6 @@ class Trajectory:
         """Componentwise linear interpolation at time t."""
         return np.array([np.interp(t, self.times, self.states[:, i]) for i in range(4)])
 
-    def to_csv(self, path) -> None:
-        from .io_utils import write_csv
-
-        rows = np.column_stack([self.times, self.states])
-        write_csv(path, ["t", "T", "N", "L", "C"], rows)
-
 
 def integrate(
     x0: State,

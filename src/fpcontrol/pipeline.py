@@ -1,5 +1,9 @@
 """Run orchestration: target construction, solves, optimization, reports.
 
+Every run starts from one shared set-up (``_prepare``). The optimization
+run takes its untreated and treated densities from the control
+problem's forward cache, so one stepper serves the whole run.
+
 Every stage emits plot-ready CSV data; binary density dumps carry the
 full final snapshots. All outputs are deterministic for a fixed
 scenario and seed.
@@ -17,10 +21,11 @@ import numpy as np
 
 from .adjoint import adjoint_gradient, gradient_check, objective, time_weights
 from .errors import SolverError
-from .fpsolver import DensityField, build_fp_stepper, mean_state, solve_forward
+from .fpsolver import (DensityField, ForwardDiagnostics, build_fp_stepper, mean_state,
+                       solve_forward)
 from .grid import Grid4D
 from .io_utils import format_float, write_csv, write_density
-from .model import ControlSchedule, ScalingConstants, State
+from .model import ControlSchedule, NonDimParams, ScalingConstants
 from .ode import Trajectory, integrate
 from .pncg import pncg
 from .scenario import Scenario
@@ -83,6 +88,7 @@ class FpControlProblem:
     Each gradient call runs one forward solve and one fused backward
     sweep; objectives reuse a tiny forward cache keyed by the schedule's
     bytes so the Armijo loop does not recompute accepted iterates.
+    ``forward`` also supplies the untreated and treated fields.
     """
 
     def __init__(self, f0, fstar: TargetDensity, q, grid: Grid4D, disp,
@@ -98,24 +104,53 @@ class FpControlProblem:
         self.store_every = store_every
         self.stepper = build_fp_stepper(grid, q, disp)
         self._cache_key = None
-        self._cache_field = None
-        self.n_forward_solves = 0
+        self._cache = None
 
-    def _field(self, u: ControlSchedule) -> DensityField:
+    def forward(self, u: ControlSchedule) -> tuple[DensityField, ForwardDiagnostics]:
+        """Density history and diagnostics at u; a repeat call at u reuses the solve."""
         key = (u.u1.tobytes(), u.u2.tobytes())
         if key != self._cache_key:
-            field, _ = solve_forward(self.f0, u, self.q, self.grid, disp=self.disp,
-                                     store_every=self.store_every, stepper=self.stepper)
-            self.n_forward_solves += 1
-            self._cache_key, self._cache_field = key, field
-        return self._cache_field
+            self._cache = solve_forward(self.f0, u, self.q, self.grid, disp=self.disp,
+                                        store_every=self.store_every, stepper=self.stepper)
+            self._cache_key = key
+        return self._cache
 
     def objective(self, u: ControlSchedule) -> float:
-        return objective(self._field(u), self.fstar, u, self.alpha, self.nu1, self.nu2)
+        return objective(self.forward(u)[0], self.fstar, u, self.alpha, self.nu1, self.nu2)
 
     def gradient(self, u: ControlSchedule):
-        return adjoint_gradient(self._field(u), self.fstar, u, self.q, self.alpha,
+        return adjoint_gradient(self.forward(u)[0], self.fstar, u, self.q, self.alpha,
                                 self.nu1, self.nu2, disp=self.disp, stepper=self.stepper)
+
+
+@dataclass(frozen=True)
+class _RunContext:
+    """What every run derives from its scenario before its first solve."""
+
+    out: Path
+    seed: int
+    grid: Grid4D
+    t_grid: np.ndarray
+    q: NonDimParams
+    f0: np.ndarray
+    u_zero: ControlSchedule
+
+
+def _prepare(scenario: Scenario, out_dir, seed: int | None, full_scale: bool) -> _RunContext:
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    grid = scenario.grid(full_scale)
+    t_grid = scenario.time_grid(full_scale)
+    return _RunContext(
+        out=out,
+        seed=scenario.seed if seed is None else seed,
+        grid=grid,
+        t_grid=t_grid,
+        q=scenario.nondim(),
+        f0=gaussian_on_grid(grid, scenario.initial_state.as_array(), scenario.target_variance),
+        u_zero=ControlSchedule.zeros(scenario.t_final, t_grid.size - 1,
+                                     scenario.d1, scenario.d2),
+    )
 
 
 def _target_for(scenario: Scenario, grid: Grid4D, t_grid: np.ndarray) -> tuple[Trajectory, TargetDensity]:
@@ -124,6 +159,15 @@ def _target_for(scenario: Scenario, grid: Grid4D, t_grid: np.ndarray) -> tuple[T
     traj = integrate(scenario.initial_state, None, q_target, scenario.t_final, ode_steps)
     fstar = build_target(traj, scenario.n_anchors, scenario.target_variance, grid, t_grid)
     return traj, fstar
+
+
+def _problem_for(scenario: Scenario, ctx: _RunContext,
+                 checkpoint_every: int) -> tuple[Trajectory, FpControlProblem]:
+    traj, fstar = _target_for(scenario, ctx.grid, ctx.t_grid)
+    problem = FpControlProblem(ctx.f0, fstar, ctx.q, ctx.grid, scenario.dispersion,
+                               scenario.alpha, scenario.nu1, scenario.nu2,
+                               store_every=checkpoint_every)
+    return traj, problem
 
 
 def _mean_series(field: DensityField, grid: Grid4D):
@@ -140,36 +184,24 @@ def _diag_rows(field: DensityField, diag):
 def run_pipeline(scenario: Scenario, out_dir, seed: int | None = None,
                  full_scale: bool = False, checkpoint_every: int = 1) -> RunReport:
     """Full optimization pipeline; emits all CSV artifacts into out_dir."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = scenario.seed if seed is None else seed
-    grid = scenario.grid(full_scale)
-    t_grid = scenario.time_grid(full_scale)
-    n_steps = t_grid.size - 1
-    q = scenario.nondim()
-    disp = scenario.dispersion
+    ctx = _prepare(scenario, out_dir, seed, full_scale)
+    out, grid = ctx.out, ctx.grid
 
     log.info("stage: target construction")
-    traj, fstar = _target_for(scenario, grid, t_grid)
-    f0 = gaussian_on_grid(grid, scenario.initial_state.as_array(), scenario.target_variance)
+    traj, problem = _problem_for(scenario, ctx, checkpoint_every)
 
     log.info("stage: untreated forward solve")
-    u_zero = ControlSchedule.zeros(scenario.t_final, n_steps, scenario.d1, scenario.d2)
     try:
-        field_untr, diag_untr = solve_forward(f0, u_zero, q, grid, disp=disp,
-                                              store_every=checkpoint_every)
+        field_untr, diag_untr = problem.forward(ctx.u_zero)
     except SolverError as exc:
         raise SolverError(f"untreated forward solve failed: {exc}") from exc
 
     log.info("stage: optimization")
-    problem = FpControlProblem(f0, fstar, q, grid, disp, scenario.alpha,
-                               scenario.nu1, scenario.nu2, store_every=checkpoint_every)
-    u_star, trace = pncg(u_zero, problem, scenario.optimizer)
+    u_star, trace = pncg(ctx.u_zero, problem, scenario.optimizer)
 
     log.info("stage: treated forward solve")
     try:
-        field_tr, diag_tr = solve_forward(f0, u_star, q, grid, disp=disp,
-                                          store_every=checkpoint_every)
+        field_tr, diag_tr = problem.forward(u_star)
     except SolverError as exc:
         raise SolverError(f"treated forward solve failed: {exc}") from exc
 
@@ -206,7 +238,7 @@ def run_pipeline(scenario: Scenario, out_dir, seed: int | None = None,
 
     report = RunReport(
         scenario=scenario.name,
-        seed=seed,
+        seed=ctx.seed,
         final_objective=float(trace.objective[-1]),
         initial_objective=float(trace.objective[0]),
         iterations=trace.iterations,
@@ -233,14 +265,9 @@ def run_pipeline(scenario: Scenario, out_dir, seed: int | None = None,
 def run_forward(scenario: Scenario, out_dir, seed: int | None = None,
                 full_scale: bool = False, checkpoint_every: int = 1) -> dict:
     """Untreated forward solve only; emits means, diagnostics, snapshot."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = scenario.grid(full_scale)
-    t_grid = scenario.time_grid(full_scale)
-    q = scenario.nondim()
-    f0 = gaussian_on_grid(grid, scenario.initial_state.as_array(), scenario.target_variance)
-    u_zero = ControlSchedule.zeros(scenario.t_final, t_grid.size - 1, scenario.d1, scenario.d2)
-    field, diag = solve_forward(f0, u_zero, q, grid, disp=scenario.dispersion,
+    ctx = _prepare(scenario, out_dir, seed, full_scale)
+    out, grid = ctx.out, ctx.grid
+    field, diag = solve_forward(ctx.f0, ctx.u_zero, ctx.q, grid, disp=scenario.dispersion,
                                 store_every=checkpoint_every)
     mean = _mean_series(field, grid)
     write_csv(out / "mean_untreated.csv", ["t", "T", "N", "L", "C"], mean)
@@ -261,26 +288,21 @@ def run_forward(scenario: Scenario, out_dir, seed: int | None = None,
 def run_oracle(scenario: Scenario, out_dir, seed: int | None = None,
                full_scale: bool = False, checkpoint_every: int = 1) -> dict:
     """Density solver vs Monte Carlo marginal comparison (no treatment)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = scenario.seed if seed is None else seed
-    grid = scenario.grid(full_scale)
-    t_grid = scenario.time_grid(full_scale)
-    n_steps = t_grid.size - 1
-    q = scenario.nondim()
+    ctx = _prepare(scenario, out_dir, seed, full_scale)
+    out, grid = ctx.out, ctx.grid
+    n_steps = ctx.t_grid.size - 1
     disp = scenario.dispersion
     x0 = scenario.initial_state.as_array()
     var = scenario.target_variance
 
-    f0 = gaussian_on_grid(grid, x0, var)
-    u_zero = ControlSchedule.zeros(scenario.t_final, n_steps, scenario.d1, scenario.d2)
-    field, _ = solve_forward(f0, u_zero, q, grid, disp=disp, store_every=checkpoint_every)
+    field, _ = solve_forward(ctx.f0, ctx.u_zero, ctx.q, grid, disp=disp,
+                             store_every=checkpoint_every)
 
     t_half = scenario.t_final / 2.0
     ens = simulate_paths(
         lambda rng: sample_gaussian_in_box(x0, var, grid.lo, grid.hi,
                                            scenario.sde_paths, rng),
-        None, q, scenario.sde_paths, scenario.sde_steps, seed=seed,
+        None, ctx.q, scenario.sde_paths, scenario.sde_steps, seed=ctx.seed,
         t_end=scenario.t_final, lo=grid.lo, hi=grid.hi, disp=disp,
         observe_at=np.array([0.0, t_half, scenario.t_final]),
     )
@@ -306,30 +328,20 @@ def run_oracle(scenario: Scenario, out_dir, seed: int | None = None,
 def run_gradcheck(scenario: Scenario, out_dir, seed: int | None = None,
                   full_scale: bool = False, checkpoint_every: int = 1) -> dict:
     """Finite-difference audit of the adjoint gradient; writes a report."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = scenario.seed if seed is None else seed
-    grid = scenario.grid(full_scale)
-    t_grid = scenario.time_grid(full_scale)
-    n_steps = t_grid.size - 1
-    q = scenario.nondim()
-    disp = scenario.dispersion
+    ctx = _prepare(scenario, out_dir, seed, full_scale)
+    _, problem = _problem_for(scenario, ctx, checkpoint_every)
 
-    _, fstar = _target_for(scenario, grid, t_grid)
-    f0 = gaussian_on_grid(grid, scenario.initial_state.as_array(), scenario.target_variance)
-    problem = FpControlProblem(f0, fstar, q, grid, disp, scenario.alpha,
-                               scenario.nu1, scenario.nu2, store_every=checkpoint_every)
-
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ctx.seed)
+    size = ctx.t_grid.size
     u = ControlSchedule(
-        t_grid,
-        rng.uniform(0.25 * scenario.d1, 0.75 * scenario.d1, n_steps + 1),
-        rng.uniform(0.25 * scenario.d2, 0.75 * scenario.d2, n_steps + 1),
+        ctx.t_grid,
+        rng.uniform(0.25 * scenario.d1, 0.75 * scenario.d1, size),
+        rng.uniform(0.25 * scenario.d2, 0.75 * scenario.d2, size),
         scenario.d1, scenario.d2,
     )
     g = problem.gradient(u)
     rows, worst = gradient_check(problem.objective, g, u, n_directions=5,
-                                 eps=1e-4, seed=seed)
+                                 eps=1e-4, seed=ctx.seed)
     lines = ["adjoint gradient vs central finite differences", ""]
     for r in rows:
         lines.append(
@@ -339,17 +351,15 @@ def run_gradcheck(scenario: Scenario, out_dir, seed: int | None = None,
         )
     lines.append("")
     lines.append(f"worst relative error: {worst:.3e}")
-    (out / "gradcheck.txt").write_text("\n".join(lines) + "\n")
+    (ctx.out / "gradcheck.txt").write_text("\n".join(lines) + "\n")
     return {"worst_relative_error": worst, "rows": rows}
 
 
 def run_target(scenario: Scenario, out_dir, seed: int | None = None,
                full_scale: bool = False, checkpoint_every: int = 1) -> dict:
     """Emit the target trajectory and per-axis target marginals."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = scenario.grid(full_scale)
-    t_grid = scenario.time_grid(full_scale)
+    ctx = _prepare(scenario, out_dir, seed, full_scale)
+    out, grid, t_grid = ctx.out, ctx.grid, ctx.t_grid
     traj, fstar = _target_for(scenario, grid, t_grid)
     write_csv(out / "target_trajectory.csv", ["t", "T", "N", "L", "C"],
               np.column_stack([traj.times, traj.states]))

@@ -19,7 +19,7 @@ from .errors import LineSearchError
 from .model import ControlSchedule
 from .tridiag import thomas_solve
 
-__all__ = ["PncgConfig", "OptimizationTrace", "project", "armijo_step",
+__all__ = ["PncgConfig", "OptimizationTrace", "armijo_step",
            "hager_zhang_beta", "smooth_gradient", "pncg"]
 
 
@@ -59,11 +59,6 @@ class OptimizationTrace:
     iterations: int = 0
 
 
-def project(u: ControlSchedule) -> ControlSchedule:
-    """Clip both dose series into [0, D_i], sample by sample."""
-    return u.clipped()
-
-
 def _stack(g: ControlGradient) -> np.ndarray:
     return np.concatenate([g.g1, g.g2])
 
@@ -91,7 +86,7 @@ def _active_count(u: ControlSchedule) -> int:
 
 def _stationarity(u: ControlSchedule, g: np.ndarray) -> float:
     """Norm of u - P[u - g], zero exactly at box-constrained optima."""
-    proposal = project(_shift(u, -g))
+    proposal = _shift(u, -g).clipped()
     return _norm(u.times, np.concatenate([u.u1 - proposal.u1, u.u2 - proposal.u2]))
 
 
@@ -135,7 +130,7 @@ def armijo_step(
     times = u.times
     alpha = cfg.armijo_alpha0
     for j in range(cfg.armijo_max_backtracks + 1):
-        trial = project(_shift(u, alpha * d))
+        trial = _shift(u, alpha * d).clipped()
         step = np.concatenate([trial.u1 - u.u1, trial.u2 - u.u2])
         slope = _inner(times, g, step)
         if slope < 0.0:

@@ -9,7 +9,7 @@ defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +104,19 @@ def _as_float(value, context: str) -> float:
         raise ScenarioError(f"field {context} must be a number, got {value!r}") from None
 
 
+def _as_int(value, context: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"field {context} must be an integer, got {value!r}") from None
+
+
+def _as_bool(value, context: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"field {context} must be true or false, got {value!r}")
+    return value
+
+
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file.
 
@@ -173,15 +186,15 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError("domain.hi must exceed domain.lo")
 
     grid_block = doc.get("grid") or {}
-    npoints = int(grid_block.get("npoints", 15))
-    full_np = int(grid_block.get("full_scale_npoints", 51))
+    npoints = _as_int(grid_block.get("npoints", 15), "grid.npoints")
+    full_np = _as_int(grid_block.get("full_scale_npoints", 51), "grid.full_scale_npoints")
     if npoints < 3 or full_np < 3:
         raise ScenarioError("grid.npoints must be at least 3")
 
     time_block = doc.get("time") or {}
     t_final = _as_float(time_block.get("t_final", 10.0), "time.t_final")
-    n_steps = int(time_block.get("n_steps", 100))
-    full_ns = int(time_block.get("full_scale_n_steps", 200))
+    n_steps = _as_int(time_block.get("n_steps", 100), "time.n_steps")
+    full_ns = _as_int(time_block.get("full_scale_n_steps", 200), "time.full_scale_n_steps")
     if t_final <= 0 or n_steps < 1 or full_ns < 1:
         raise ScenarioError("time.t_final must be positive and step counts >= 1")
 
@@ -213,7 +226,7 @@ def load_scenario(path) -> Scenario:
     il2_scale = _as_float(scales.get("il2_iu_per_l_per_day", 1.0e7),
                           "dose_scales.il2_iu_per_l_per_day")
 
-    n_anchors = int(target.get("n_anchors", 20))
+    n_anchors = _as_int(target.get("n_anchors", 20), "target.n_anchors")
     variance = _as_float(target.get("variance", 0.05), "target.variance")
     if n_anchors < 2:
         raise ScenarioError("target.n_anchors must be at least 2")
@@ -223,21 +236,22 @@ def load_scenario(path) -> Scenario:
     opt = doc.get("optimizer") or {}
     try:
         pcfg = PncgConfig(
-            k_max=int(opt.get("k_max", 200)),
+            k_max=_as_int(opt.get("k_max", 200), "optimizer.k_max"),
             tol=_as_float(opt.get("tol", 1e-5), "optimizer.tol"),
             armijo_alpha0=_as_float(opt.get("armijo_alpha0", 1.0), "optimizer.armijo_alpha0"),
             armijo_rho=_as_float(opt.get("armijo_rho", 0.5), "optimizer.armijo_rho"),
             armijo_c1=_as_float(opt.get("armijo_c1", 1e-4), "optimizer.armijo_c1"),
-            armijo_max_backtracks=int(opt.get("armijo_max_backtracks", 40)),
-            use_h1_gradient=bool(opt.get("use_h1_gradient", True)),
+            armijo_max_backtracks=_as_int(opt.get("armijo_max_backtracks", 40),
+                                          "optimizer.armijo_max_backtracks"),
+            use_h1_gradient=_as_bool(opt.get("use_h1_gradient", True), "optimizer.use_h1_gradient"),
             h1_epsilon=_as_float(opt.get("h1_epsilon", 1e-2), "optimizer.h1_epsilon"),
         )
     except ValueError as exc:
         raise ScenarioError(f"invalid optimizer block: {exc}") from exc
 
     sde_block = doc.get("sde") or {}
-    sde_paths = int(sde_block.get("n_paths", 100_000))
-    sde_steps = int(sde_block.get("n_steps", 1000))
+    sde_paths = _as_int(sde_block.get("n_paths", 100_000), "sde.n_paths")
+    sde_steps = _as_int(sde_block.get("n_steps", 1000), "sde.n_steps")
     if sde_paths < 1 or sde_steps < 1:
         raise ScenarioError("sde.n_paths and sde.n_steps must be >= 1")
 
@@ -269,7 +283,7 @@ def load_scenario(path) -> Scenario:
         optimizer=pcfg,
         sde_paths=sde_paths,
         sde_steps=sde_steps,
-        seed=int(doc.get("seed", 0)),
+        seed=_as_int(doc.get("seed", 0), "seed"),
     )
 
     state = scenario.initial_state.as_array()

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReflectionError
-from .grid import Grid4D
 from .model import ControlSchedule, DispersionSpec, NonDimParams, State, drift
 
 __all__ = ["PathEnsemble", "simulate_paths", "sample_gaussian_in_box", "marginal_histogram"]

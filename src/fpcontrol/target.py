@@ -74,9 +74,6 @@ class TargetDensity:
         self._cache[m] = f
         return f
 
-    def as_array(self) -> np.ndarray:
-        return np.stack([self.snapshot(m) for m in range(self.n_steps + 1)])
-
 
 def build_target(
     traj: Trajectory,

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from fpcontrol.adjoint import (
-    AdjointField,
-    adjoint_gradient,
-    gradient_check,
-    objective,
-    reduced_gradient,
-    solve_adjoint,
-    solve_adjoint_continuous,
-    time_weights,
-)
+from fpcontrol.adjoint import adjoint_gradient, gradient_check, objective
 from fpcontrol.fpsolver import DensityField, build_fp_stepper, solve_forward
 from fpcontrol.grid import Grid4D
 from fpcontrol.model import ControlSchedule, DispersionSpec, State
@@ -70,40 +61,32 @@ class TestObjective:
 
 
 class TestDiscreteAdjoint:
+    # With nothing to track, the adjoint vanishes, so the dose
+    # sensitivities it feeds are exactly zero and only nu * u is left.
+
     def test_zero_mismatch_gives_zero_adjoint(self):
         grid, q, disp, fstar, f0, t_grid = make_setup()
         field = field_from_target(grid, fstar, t_grid)
-        u = ControlSchedule.zeros(t_grid[-1], t_grid.size - 1, 7.0, 0.072)
-        p = solve_adjoint(field, fstar, u, q, alpha=1.0, disp=disp)
-        for m in range(t_grid.size):
-            assert np.allclose(p.snapshot(m), 0.0, atol=1e-18)
+        u = ControlSchedule.constant(t_grid[-1], t_grid.size - 1, 2.0, 0.03, 7.0, 0.072)
+        g = adjoint_gradient(field, fstar, u, q, 1.0, 0.0, 0.0, disp=disp)
+        assert np.all(g.g1 == 0.0)
+        assert np.all(g.g2 == 0.0)
 
     def test_zero_weight_gives_zero_adjoint(self):
         grid, q, disp, fstar, f0, t_grid = make_setup()
         u = ControlSchedule.constant(t_grid[-1], t_grid.size - 1, 1.0, 0.02, 7.0, 0.072)
         field, _ = solve_forward(f0, u, q, grid, disp=disp)
-        p = solve_adjoint(field, fstar, u, q, alpha=0.0, disp=disp)
-        for m in range(t_grid.size):
-            assert np.all(p.snapshot(m) == 0.0)
+        g = adjoint_gradient(field, fstar, u, q, 0.0, 0.0, 0.0, disp=disp)
+        assert np.all(g.g1 == 0.0)
+        assert np.all(g.g2 == 0.0)
 
     def test_zero_adjoint_leaves_regularization_gradient(self):
         grid, q, disp, fstar, f0, t_grid = make_setup()
         u = ControlSchedule.constant(t_grid[-1], t_grid.size - 1, 2.0, 0.03, 7.0, 0.072)
         field, _ = solve_forward(f0, u, q, grid, disp=disp)
-        p = AdjointField(grid, t_grid)
-        g = reduced_gradient(field, p, u, q, nu1=0.05, nu2=0.7, disp=disp)
+        g = adjoint_gradient(field, fstar, u, q, 0.0, 0.05, 0.7, disp=disp)
         assert np.allclose(g.g1, 0.05 * u.u1, rtol=1e-12)
         assert np.allclose(g.g2, 0.7 * u.u2, rtol=1e-12)
-
-    def test_fused_and_two_step_paths_agree(self):
-        grid, q, disp, fstar, f0, t_grid = make_setup()
-        u = ControlSchedule.constant(t_grid[-1], t_grid.size - 1, 2.0, 0.03, 7.0, 0.072)
-        field, _ = solve_forward(f0, u, q, grid, disp=disp)
-        fused = adjoint_gradient(field, fstar, u, q, 1.0, 0.01, 0.01, disp=disp)
-        p = solve_adjoint(field, fstar, u, q, 1.0, disp=disp)
-        two_step = reduced_gradient(field, p, u, q, 0.01, 0.01, disp=disp)
-        assert np.allclose(fused.g1, two_step.g1, rtol=1e-12, atol=1e-15)
-        assert np.allclose(fused.g2, two_step.g2, rtol=1e-12, atol=1e-15)
 
     def test_gradient_matches_finite_differences(self):
         grid, q, disp, fstar, f0, t_grid = make_setup()
@@ -133,49 +116,3 @@ class TestDiscreteAdjoint:
         assert np.array_equal(g_full.g1, g_chk.g1)
         assert np.array_equal(g_full.g2, g_chk.g2)
 
-
-class TestContinuousAdjoint:
-    def test_terminal_condition_is_exact(self):
-        grid, q, disp, fstar, f0, t_grid = make_setup()
-        u = ControlSchedule.constant(t_grid[-1], t_grid.size - 1, 1.0, 0.02, 7.0, 0.072)
-        field, _ = solve_forward(f0, u, q, grid, disp=disp)
-        p = solve_adjoint_continuous(field, fstar, u, q, 1.0, disp=disp)
-        assert np.all(p.snapshot(t_grid.size - 1) == 0.0)
-
-    def test_zero_weight_gives_zero(self):
-        grid, q, disp, fstar, f0, t_grid = make_setup()
-        u = ControlSchedule.zeros(t_grid[-1], t_grid.size - 1, 7.0, 0.072)
-        field, _ = solve_forward(f0, u, q, grid, disp=disp)
-        p = solve_adjoint_continuous(field, fstar, u, q, 0.0, disp=disp)
-        for m in range(t_grid.size):
-            assert np.all(p.snapshot(m) == 0.0)
-
-    def test_comparison_against_discrete_adjoint_is_reported(self):
-        # the backward comparison equation is solved exactly as printed:
-        # a density-weighted advection term and a mismatch source with a
-        # minus sign. The exact transpose of the forward scheme (which
-        # central differences certify) carries the opposite source sign,
-        # so the two fields anti-correlate strongly. This test documents
-        # that known inconsistency instead of hiding it.
-        grid, q, disp, fstar, f0, t_grid = make_setup()
-        u = ControlSchedule.constant(t_grid[-1], t_grid.size - 1, 2.0, 0.03, 7.0, 0.072)
-        field, _ = solve_forward(f0, u, q, grid, disp=disp)
-        p_cont = solve_adjoint_continuous(field, fstar, u, q, 1.0, disp=disp)
-        p_disc = solve_adjoint(field, fstar, u, q, 1.0, disp=disp)
-        wt = time_weights(t_grid)
-        w = grid.weights()
-        m = t_grid.size // 2
-        disc_unweighted = p_disc.snapshot(m) / (wt[m] * w)
-        cont = p_cont.snapshot(m)
-        num = float(np.sum(disc_unweighted * cont))
-        den = float(np.sqrt(np.sum(disc_unweighted**2) * np.sum(cont**2)))
-        corr = num / den if den > 0 else 0.0
-        rel_gap = float(
-            np.linalg.norm(disc_unweighted - cont) / max(np.linalg.norm(cont), 1e-30)
-        )
-        print(f"continuous-vs-discrete adjoint: correlation {corr:.3f}, "
-              f"relative gap {rel_gap:.3f}")
-        assert np.isfinite(rel_gap)
-        assert np.any(cont != 0.0)
-        assert corr < -0.5
-        assert rel_gap > 1.0

@@ -11,11 +11,8 @@ from fpcontrol.fpsolver import (
     build_fp_stepper,
     cc_weight,
     cc_weight_derivative,
-    face_flux,
     mean_state,
     solve_forward,
-    step_dg4,
-    total_mass,
 )
 from fpcontrol.grid import Grid4D
 from fpcontrol.model import ControlSchedule, DispersionSpec
@@ -61,32 +58,6 @@ class TestCcWeight:
         assert cc_weight_derivative(w) == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
-class TestFaceFlux:
-    def test_uniform_density_without_drift_has_no_flux(self):
-        assert face_flux(0, 1.0, 1.0, 0.0, 0.5, 0.1) == 0.0
-
-    def test_zero_gradient_gives_pure_advection(self):
-        flux = face_flux(0, 2.0, 2.0, 0.7, 0.5, 0.1)
-        assert flux == pytest.approx(-0.7 * 2.0)
-
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            face_flux(1, 1.0, 1.0, 0.0, 0.0, 0.1)
-
-    def test_ou_stationary_density_has_vanishing_flux(self):
-        # exact stationary Gaussian of mean-reverting drift with
-        # constant noise: discrete fluxes vanish to O(h^2)
-        theta, sigma, center = 1.0, 0.6, 3.0
-        n = 41
-        x = np.linspace(0.0, 6.0, n)
-        h = x[1] - x[0]
-        var = sigma**2 / (2 * theta)
-        f = np.exp(-((x - center) ** 2) / (2 * var))
-        xf = 0.5 * (x[:-1] + x[1:])
-        flux = face_flux(0, f[:-1], f[1:], -theta * (xf - center), sigma, h)
-        assert np.max(np.abs(flux)) < 0.02 * h**2 / var * np.max(f)
-
-
 def make_ou_axis(n, lo, hi, theta, center, sigma):
     x = np.linspace(lo, hi, n)
     h = x[1] - x[0]
@@ -108,12 +79,48 @@ def gauss(x, m, v):
     return np.exp(-((x - m) ** 2) / (2 * v)) / np.sqrt(2 * np.pi * v)
 
 
+class TestFaceFlux:
+    # The stepper's band operator applied to f is the difference of the
+    # Chang-Cooper face fluxes H = (sigma^2/2) df/dx - F f over each
+    # node's control length, with no flux through the walls.
+
+    def test_uniform_density_without_drift_has_no_flux(self):
+        ax, x, h = make_ou_axis(11, 0.0, 6.0, 0.0, 3.0, 0.5)
+        stepper = DgStepper([ax], (11,))
+        out = stepper.apply_operator(0, np.ones(11), ax.operator_bands(0.0, 0.0))
+        assert np.all(out == 0.0)
+
+    def test_zero_gradient_gives_pure_advection(self):
+        # linear drift F = -theta (x - c): a constant density sees only
+        # the advective flux -F f, whose difference is theta f inside
+        theta = 0.7
+        ax, x, h = make_ou_axis(11, 0.0, 6.0, theta, 3.0, 0.5)
+        stepper = DgStepper([ax], (11,))
+        out = stepper.apply_operator(0, np.full(11, 2.0), ax.operator_bands(0.0, 0.0))
+        assert np.allclose(out[1:-1], theta * 2.0, rtol=1e-12)
+        assert out[0] == pytest.approx(-2.0 * ax.f0_face[0] * 2.0 / h, rel=1e-12)
+
+    def test_ou_stationary_density_has_vanishing_flux(self):
+        # exact stationary Gaussian of mean-reverting drift with
+        # constant noise: discrete fluxes vanish to O(h^2)
+        theta, sigma, center = 1.0, 0.6, 3.0
+        n = 41
+        ax, x, h = make_ou_axis(n, 0.0, 6.0, theta, center, sigma)
+        var = sigma**2 / (2 * theta)
+        f = np.exp(-((x - center) ** 2) / (2 * var))
+        stepper = DgStepper([ax], (n,))
+        div = stepper.apply_operator(0, f, ax.operator_bands(0.0, 0.0))
+        # the wall-free prefix sums of delta * (A f) rebuild the face fluxes
+        flux = np.cumsum(ax.delta_nodes * div)[:-1]
+        assert np.max(np.abs(flux)) < 0.02 * h**2 / var * np.max(f)
+
+
 class TestDgStep:
     def test_uniform_density_is_equilibrium(self):
         grid = Grid4D.cube(0.0, 6.0, 7)
         q = zero_drift_params()
         f = np.full(grid.shape, 1.0 / 6.0**4)
-        out = step_dg4(f, (0.0, 0.0), q, 0.1, grid)
+        out = build_fp_stepper(grid, q).step(f, (0.0, 0.0), 0.1)
         # no-flux diffusion of a constant: unchanged up to solver rounding
         assert np.max(np.abs(out - f)) < 1e-13 * f.max()
 
@@ -185,24 +192,16 @@ class TestDgStep:
         l1 = np.sum(w[:, None] * w[None, :] * np.abs(f - exact))
         assert l1 < 7e-3
 
-    def test_wrapper_matches_stepper(self):
-        grid = Grid4D.cube(0.0, 6.0, 7)
-        q = weak_patient()
-        f = gaussian_on_grid(grid, [1.0, 1.0, 1.0, 1.0], 0.3)
-        direct = step_dg4(f, (2.0, 0.05), q, 0.02, grid)
-        via_stepper = build_fp_stepper(grid, q).step(f, (2.0, 0.05), 0.02)
-        assert np.array_equal(direct, via_stepper)
-
 
 class TestQuadratureDiagnostics:
     def test_normalized_gaussian_has_unit_mass(self):
         grid = Grid4D.cube(0.0, 6.0, 11)
         f = gaussian_on_grid(grid, [2.0, 3.0, 3.0, 3.0], 0.3)
-        assert abs(total_mass(f, grid) - 1.0) < 1e-8
+        assert abs(grid.integrate(f) - 1.0) < 1e-8
 
     def test_zero_field_has_zero_mass(self):
         grid = Grid4D.cube(0.0, 6.0, 7)
-        assert total_mass(np.zeros(grid.shape), grid) == 0.0
+        assert grid.integrate(np.zeros(grid.shape)) == 0.0
 
     def test_uniform_density_mean_is_domain_center(self):
         grid = Grid4D.cube(0.0, 6.0, 9)

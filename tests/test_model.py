@@ -3,7 +3,7 @@ import dataclasses
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpcontrol.model import (
@@ -13,7 +13,6 @@ from fpcontrol.model import (
     NonDimParams,
     ScalingConstants,
     State,
-    dispersion,
     drift,
     kill_term,
     nondimensionalize,
@@ -204,26 +203,32 @@ class TestDrift:
 
 class TestDispersion:
     def test_floor_at_origin(self):
-        assert dispersion(np.zeros(4))[0] == pytest.approx(0.0005)
+        assert DispersionSpec().sigma(np.zeros(4))[0] == pytest.approx(0.0005)
 
     def test_unit_value(self):
-        assert dispersion(np.ones(4))[0] == pytest.approx(0.5005)
+        assert DispersionSpec().sigma(np.ones(4))[0] == pytest.approx(0.5005)
 
     def test_direct_evaluation_at_two(self):
         expected = 0.5 * (2.0**1.2 + 0.001)
-        assert dispersion(np.full(4, 2.0))[0] == pytest.approx(expected, rel=1e-15)
+        assert DispersionSpec().sigma(np.full(4, 2.0))[0] == pytest.approx(expected, rel=1e-15)
 
     def test_rejects_negative_state(self):
         with pytest.raises(ValueError):
-            dispersion(np.array([1.0, -0.1, 1.0, 1.0]))
+            DispersionSpec().sigma(np.array([1.0, -0.1, 1.0, 1.0]))
 
+    # sigma is strictly increasing in exact arithmetic, but x**1.2 of a
+    # tiny x vanishes against the 0.001 offset in floating point, so
+    # strictness is only asserted for separations it can resolve.
     @given(x=st.floats(0.0, 6.0), y=st.floats(0.0, 6.0))
+    @example(x=0.0, y=7.7e-26)
     @settings(max_examples=100, deadline=None)
     def test_positive_and_monotone(self, x, y):
         spec = DispersionSpec()
         sx, sy = spec.sigma(np.array([x])), spec.sigma(np.array([y]))
         assert sx[0] > 0
         if x < y:
+            assert sx[0] <= sy[0]
+        if y - x >= 1e-6:
             assert sx[0] < sy[0]
 
 

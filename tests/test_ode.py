@@ -96,11 +96,12 @@ class TestTrajectory:
         assert np.allclose(mid, [0.5, 1.0, 1.5, 2.0])
 
     def test_csv_round_trip(self, tmp_path):
-        from fpcontrol.io_utils import read_csv
+        # the layout the pipeline writes to target_trajectory.csv
+        from fpcontrol.io_utils import read_csv, write_csv
 
         traj = Trajectory(times=np.linspace(0, 1, 5), states=np.random.default_rng(0).random((5, 4)))
         path = tmp_path / "traj.csv"
-        traj.to_csv(path)
+        write_csv(path, ["t", "T", "N", "L", "C"], np.column_stack([traj.times, traj.states]))
         header, rows = read_csv(path)
         assert header == ["t", "T", "N", "L", "C"]
         assert np.array_equal(rows[:, 0], traj.times)

@@ -86,6 +86,30 @@ class TestRunPipeline:
         assert report.mass_deviation_treated < 1e-8
 
 
+class TestSolveCount:
+    def test_pipeline_solves_each_schedule_once_with_one_stepper(self, tmp_path, monkeypatch):
+        import fpcontrol.fpsolver as fpsolver
+        import fpcontrol.pipeline as pipeline
+
+        solved, builds = [], []
+        solve, build = fpsolver.solve_forward, fpsolver.build_fp_stepper
+
+        def counting_solve(f0, u, *args, **kwargs):
+            solved.append((u.u1.tobytes(), u.u2.tobytes()))
+            return solve(f0, u, *args, **kwargs)
+
+        def counting_build(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        for module in (pipeline, fpsolver):
+            monkeypatch.setattr(module, "solve_forward", counting_solve)
+            monkeypatch.setattr(module, "build_fp_stepper", counting_build)
+        run_pipeline(load_scenario(scenario_path("demo_small")), tmp_path)
+        assert len(builds) == 1
+        assert len(solved) == len(set(solved))
+
+
 class TestAuxiliaryPipelines:
     def test_forward_emits_density_and_marginals(self, tmp_path):
         scenario = load_scenario(scenario_path("demo_small"))
@@ -145,6 +169,18 @@ class TestCli:
         bad = tmp_path / "bad.scenario"
         bad.write_text("parameters: {a: 1.0}\n")
         assert cli_main(["solve", str(bad)]) == 2
+
+    @pytest.mark.parametrize("line, bad_line, field", [
+        ("  npoints: 13", "  npoints: nine", "grid.npoints"),
+        ("  use_h1_gradient: true", '  use_h1_gradient: "false"', "optimizer.use_h1_gradient"),
+    ], ids=["npoints", "use_h1_gradient"])
+    def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, line, bad_line, field):
+        text = Path(scenario_path("testcase1")).read_text()
+        assert line in text
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(text.replace(line, bad_line))
+        assert cli_main(["target", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
 
     def test_solve_and_reports(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -9,7 +9,6 @@ from fpcontrol.pncg import (
     armijo_step,
     hager_zhang_beta,
     pncg,
-    project,
     smooth_gradient,
 )
 
@@ -46,7 +45,7 @@ class TestProject:
         t = np.linspace(0.0, 10.0, 5)
         u = ControlSchedule(t, np.array([-0.3, 1.0, 8.0, 3.0, 7.0]),
                             np.array([0.01, -0.01, 0.1, 0.05, 0.0]), 7.0, 0.072)
-        p = project(u)
+        p = u.clipped()
         assert p.u1[0] == 0.0
         assert p.u1[2] == 7.0
         assert p.u1[3] == 3.0
@@ -55,7 +54,7 @@ class TestProject:
 
     def test_identity_on_interior(self):
         u = ControlSchedule.constant(10.0, 4, 3.0, 0.05, 7.0, 0.072)
-        p = project(u)
+        p = u.clipped()
         assert np.array_equal(p.u1, u.u1)
         assert np.array_equal(p.u2, u.u2)
 
