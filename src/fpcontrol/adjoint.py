@@ -124,7 +124,7 @@ def adjoint_gradient(
         f_m = f.snapshot(m)
         _, bands, _, stages = stepper.step(f_m, u_m, dt, capture_stages=True)
 
-        p_prev, qstages, _ = stepper.step_transpose(p, u_m, dt, bands=bands)
+        p_prev, qstages = stepper.step_transpose(p, dt, bands)
 
         for channel, acc in ((1, euclid_g1), (2, euclid_g2)):
             total = 0.0

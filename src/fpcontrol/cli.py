@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 scenario validation failure, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -53,6 +54,20 @@ _COMMANDS = {
 }
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fpcontrol",
@@ -64,10 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="path to a .scenario file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
+                       help="override the scenario seed")
         p.add_argument("--full-scale", action="store_true",
                        help="use the production grid and time resolution")
-        p.add_argument("--checkpoint-every", type=int, default=1, metavar="K",
+        p.add_argument("--checkpoint-every", type=_int_at_least(1), default=1, metavar="K",
                        help="store every K-th snapshot and recompute between")
     return parser
 
@@ -83,12 +99,15 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
+    if args.full_scale:
+        scenario = dataclasses.replace(scenario, npoints=scenario.full_scale_npoints,
+                                       n_steps=scenario.full_scale_n_steps)
 
     out_dir = args.out or str(Path("runs") / f"{scenario.name}-{args.command}")
     _, runner, summarize = _COMMANDS[args.command]
     try:
-        result = runner(scenario, out_dir, seed=args.seed, full_scale=args.full_scale,
-                        checkpoint_every=max(1, args.checkpoint_every))
+        result = runner(scenario, out_dir, seed=args.seed,
+                        checkpoint_every=args.checkpoint_every)
         return summarize(result, out_dir)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

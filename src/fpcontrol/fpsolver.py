@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MassDeviationError, SingularOperatorError
+from .errors import DivergenceError, MassDeviationError, SingularOperatorError
 from .grid import Grid4D
 from .model import ControlSchedule, DispersionSpec, NonDimParams, control_jacobian_profiles, drift
 from .tridiag import TridiagonalBreakdown, thomas_solve, transpose_bands
@@ -253,17 +253,14 @@ class DgStepper:
             return g, bands, af, stages
         return g
 
-    def step_transpose(self, p_next: np.ndarray, u: tuple[float, float], dt: float,
-                       bands=None):
+    def step_transpose(self, p_next: np.ndarray, dt: float, bands):
         """Apply the transpose of one step's propagator to ``p_next``.
 
+        ``bands`` are the step's per-axis band sets from ``step``.
         Returns M^T p and the per-axis stage adjoints q_j (reverse
         order of the forward corrections), which the control gradient
         reuses.
         """
-        u1, u2 = u
-        if bands is None:
-            bands = [ax.operator_bands(u1, u2) for ax in self.axes]
         q = [None] * self.ndim
         v = p_next
         for j in range(self.ndim - 1, -1, -1):
@@ -275,7 +272,7 @@ class DgStepper:
         )
         for j in range(self.ndim):
             out -= 0.5 * dt * self.apply_operator_transpose(j, q[j], bands[j])
-        return out, q, bands
+        return out, q
 
 
 def build_fp_stepper(grid: Grid4D, q: NonDimParams,
@@ -335,8 +332,6 @@ class ForwardDiagnostics:
     mass: np.ndarray
     min_value: np.ndarray
     l2_norm: np.ndarray
-    envelope_bound: np.ndarray
-    envelope_exceeded: bool = False
 
     @property
     def max_mass_deviation(self) -> float:
@@ -441,50 +436,24 @@ def solve_forward(
     min_value = np.empty(n_steps + 1)
     l2 = np.empty(n_steps + 1)
 
-    # L2 stability envelope of the continuous problem, tracked as a
-    # diagnostic only: ||f(t)|| <= ||f0|| exp(s_inv^2 N^2 t) with N the
-    # largest drift magnitude and s_inv the largest inverse noise level.
-    n_bound, s_inv = _stability_constants(stepper, u)
-    rate = s_inv**2 * n_bound**2
-
     f = f0.copy()
     field.store(0, f)
     mass[0] = grid.integrate(f)
     min_value[0] = f.min()
     l2[0] = math.sqrt(grid.integrate(f * f))
-    envelope = l2[0] * np.exp(np.minimum(rate * (times - times[0]), 700.0))
-    exceeded = False
 
     for m in range(n_steps):
         f = stepper.step(f, u.at_index(m), dt)
         field.store(m + 1, f)
         mass[m + 1] = grid.integrate(f)
+        if not math.isfinite(mass[m + 1]):
+            raise DivergenceError(f"density mass is {mass[m + 1]} after step {m + 1}",
+                                  time=float(times[m + 1]))
         min_value[m + 1] = f.min()
         l2[m + 1] = math.sqrt(grid.integrate(f * f))
-        if l2[m + 1] > envelope[m + 1]:
-            exceeded = True
 
-    diag = ForwardDiagnostics(
-        mass=mass, min_value=min_value, l2_norm=l2,
-        envelope_bound=envelope, envelope_exceeded=exceeded,
-    )
+    diag = ForwardDiagnostics(mass=mass, min_value=min_value, l2_norm=l2)
     if diag.max_mass_deviation > 1e-8:
         log.warning("mass deviated by %.3e during the forward solve", diag.max_mass_deviation)
-    if exceeded:
-        log.warning("L2 norm exceeded the continuous stability envelope")
     return field, diag
 
-
-def _stability_constants(stepper: DgStepper, u: ControlSchedule) -> tuple[float, float]:
-    u1_max = float(np.max(np.abs(u.u1))) if u.u1.size else 0.0
-    u2_max = float(np.max(np.abs(u.u2))) if u.u2.size else 0.0
-    sq_sum = None
-    s_inv = 0.0
-    for ax in stepper.axes:
-        fmax = np.abs(ax.f0_face) + u1_max * np.abs(ax.g1_face) + u2_max * np.abs(ax.g2_face)
-        contrib = np.max(fmax) ** 2
-        sq_sum = contrib if sq_sum is None else sq_sum + contrib
-        sigma_min_sq = 2.0 * float(np.min(ax.dface))
-        if sigma_min_sq > 0:
-            s_inv = max(s_inv, 1.0 / math.sqrt(sigma_min_sq))
-    return math.sqrt(sq_sum if sq_sum is not None else 0.0), s_inv

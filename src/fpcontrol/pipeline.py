@@ -65,7 +65,6 @@ class RunReport:
     mass_deviation_treated: float
     min_density_untreated: float
     min_density_treated: float
-    stability_envelope_exceeded: bool
     total_doxorubicin_mg: float
     peak_il2_iu_per_l: float
     mean_tumor_untreated_start: float
@@ -136,11 +135,11 @@ class _RunContext:
     u_zero: ControlSchedule
 
 
-def _prepare(scenario: Scenario, out_dir, seed: int | None, full_scale: bool) -> _RunContext:
+def _prepare(scenario: Scenario, out_dir, seed: int | None) -> _RunContext:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = scenario.grid(full_scale)
-    t_grid = scenario.time_grid(full_scale)
+    grid = scenario.grid()
+    t_grid = scenario.time_grid()
     return _RunContext(
         out=out,
         seed=scenario.seed if seed is None else seed,
@@ -182,9 +181,9 @@ def _diag_rows(field: DensityField, diag):
 
 
 def run_pipeline(scenario: Scenario, out_dir, seed: int | None = None,
-                 full_scale: bool = False, checkpoint_every: int = 1) -> RunReport:
+                 checkpoint_every: int = 1) -> RunReport:
     """Full optimization pipeline; emits all CSV artifacts into out_dir."""
-    ctx = _prepare(scenario, out_dir, seed, full_scale)
+    ctx = _prepare(scenario, out_dir, seed)
     out, grid = ctx.out, ctx.grid
 
     log.info("stage: target construction")
@@ -248,8 +247,6 @@ def run_pipeline(scenario: Scenario, out_dir, seed: int | None = None,
         mass_deviation_treated=diag_tr.max_mass_deviation,
         min_density_untreated=diag_untr.min_over_run,
         min_density_treated=diag_tr.min_over_run,
-        stability_envelope_exceeded=bool(diag_untr.envelope_exceeded
-                                         or diag_tr.envelope_exceeded),
         total_doxorubicin_mg=total_dox,
         peak_il2_iu_per_l=peak_il2,
         mean_tumor_untreated_start=float(mean_untr[0, 1]),
@@ -263,9 +260,9 @@ def run_pipeline(scenario: Scenario, out_dir, seed: int | None = None,
 
 
 def run_forward(scenario: Scenario, out_dir, seed: int | None = None,
-                full_scale: bool = False, checkpoint_every: int = 1) -> dict:
+                checkpoint_every: int = 1) -> dict:
     """Untreated forward solve only; emits means, diagnostics, snapshot."""
-    ctx = _prepare(scenario, out_dir, seed, full_scale)
+    ctx = _prepare(scenario, out_dir, seed)
     out, grid = ctx.out, ctx.grid
     field, diag = solve_forward(ctx.f0, ctx.u_zero, ctx.q, grid, disp=scenario.dispersion,
                                 store_every=checkpoint_every)
@@ -286,9 +283,9 @@ def run_forward(scenario: Scenario, out_dir, seed: int | None = None,
 
 
 def run_oracle(scenario: Scenario, out_dir, seed: int | None = None,
-               full_scale: bool = False, checkpoint_every: int = 1) -> dict:
+               checkpoint_every: int = 1) -> dict:
     """Density solver vs Monte Carlo marginal comparison (no treatment)."""
-    ctx = _prepare(scenario, out_dir, seed, full_scale)
+    ctx = _prepare(scenario, out_dir, seed)
     out, grid = ctx.out, ctx.grid
     n_steps = ctx.t_grid.size - 1
     disp = scenario.dispersion
@@ -326,9 +323,9 @@ def run_oracle(scenario: Scenario, out_dir, seed: int | None = None,
 
 
 def run_gradcheck(scenario: Scenario, out_dir, seed: int | None = None,
-                  full_scale: bool = False, checkpoint_every: int = 1) -> dict:
+                  checkpoint_every: int = 1) -> dict:
     """Finite-difference audit of the adjoint gradient; writes a report."""
-    ctx = _prepare(scenario, out_dir, seed, full_scale)
+    ctx = _prepare(scenario, out_dir, seed)
     _, problem = _problem_for(scenario, ctx, checkpoint_every)
 
     rng = np.random.default_rng(ctx.seed)
@@ -356,9 +353,9 @@ def run_gradcheck(scenario: Scenario, out_dir, seed: int | None = None,
 
 
 def run_target(scenario: Scenario, out_dir, seed: int | None = None,
-               full_scale: bool = False, checkpoint_every: int = 1) -> dict:
+               checkpoint_every: int = 1) -> dict:
     """Emit the target trajectory and per-axis target marginals."""
-    ctx = _prepare(scenario, out_dir, seed, full_scale)
+    ctx = _prepare(scenario, out_dir, seed)
     out, grid, t_grid = ctx.out, ctx.grid, ctx.t_grid
     traj, fstar = _target_for(scenario, grid, t_grid)
     write_csv(out / "target_trajectory.csv", ["t", "T", "N", "L", "C"],

@@ -1,14 +1,19 @@
 """Scenario files: every run is fully described by one YAML document.
 
-The dimensional model rates are deliberately mandatory with no
-defaults: they are literature-sourced inputs, so omitting one is an
-error that names the missing fields instead of a silent fallback. The
-numerical blocks (grid, time, optimizer, ...) do carry documented
-defaults.
+One table, ``_FIELDS``, lists every key with the ``Scenario`` field it
+feeds, its type, default and lower bound; it drives conversion,
+validation and error messages, and any other key is an error. The
+dimensional model rates are deliberately mandatory with no defaults:
+they are literature-sourced inputs, so omitting one is an error that
+names the missing fields instead of a silent fallback.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import difflib
+import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,13 +33,6 @@ from .model import (
 from .pncg import PncgConfig
 
 __all__ = ["Scenario", "load_scenario"]
-
-_PARAM_FIELDS = [
-    "a", "b", "c", "d", "e", "f", "p", "m", "j", "k", "q", "r1", "r2",
-    "s", "l", "alpha", "beta", "alpha1", "alpha2", "alpha3", "alpha4",
-    "beta_n", "beta_l",
-]
-_SCALING_FIELDS = ["k1", "k2", "k3", "k4", "k5"]
 
 
 @dataclass
@@ -82,39 +80,137 @@ class Scenario:
         d, l, s = self.target_triple
         return q.with_patient(d, l, s)
 
-    def grid(self, full_scale: bool = False) -> Grid4D:
-        n = self.full_scale_npoints if full_scale else self.npoints
-        return Grid4D.cube(self.domain_lo, self.domain_hi, n)
+    def grid(self) -> Grid4D:
+        return Grid4D.cube(self.domain_lo, self.domain_hi, self.npoints)
 
-    def time_grid(self, full_scale: bool = False) -> np.ndarray:
-        n = self.full_scale_n_steps if full_scale else self.n_steps
-        return np.linspace(0.0, self.t_final, n + 1)
+    def time_grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.t_final, self.n_steps + 1)
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ScenarioError(f"missing field {context}.{key}")
-    return mapping[key]
+_REQUIRED = object()
+_BOUND_CHECKS = {">": operator.gt, ">=": operator.ge}
+_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
+               bool: "true or false"}
+
+# YAML block -> (Scenario field, dataclass). The dataclass gives the
+# block's keys, their types and defaults, and validates the values.
+_BLOCKS = {
+    "parameters": ("params", DimensionalParams),
+    "scaling": ("scaling", ScalingConstants),
+    "dispersion": ("dispersion", DispersionSpec),
+    "optimizer": ("optimizer", PncgConfig),
+}
+
+# Bounds a scenario adds to its blocks' own checks: a zero noise scale
+# or a negative exponent leaves the face diffusion zero or infinite.
+_BLOCK_BOUNDS = {
+    "dispersion.scale": (">", 0.0),
+    "dispersion.exponent": (">=", 0.0),
+}
+
+# Dotted key -> (Scenario field, type, default, lower bound). A tuple
+# type is a list of that many numbers.
+_FIELDS = {
+    f"{block}.{f.name}": (
+        attr, {"float": float, "int": int, "bool": bool}[f.type],
+        _REQUIRED if f.default is dataclasses.MISSING else f.default,
+        _BLOCK_BOUNDS.get(f"{block}.{f.name}"),
+    )
+    for block, (attr, cls) in _BLOCKS.items() for f in dataclasses.fields(cls)
+}
+_FIELDS.update({
+    "name": ("name", str, None, None),
+    "description": ("description", str, "", None),
+    "seed": ("seed", int, 0, (">=", 0)),
+    "patient.d": ("patient_triple", float, _REQUIRED, None),
+    "patient.l": ("patient_triple", float, _REQUIRED, None),
+    "patient.s": ("patient_triple", float, _REQUIRED, None),
+    "target.triple": ("target_triple", (float,) * 3, (2.1, 1.1, 1.25), None),
+    "target.n_anchors": ("n_anchors", int, 20, (">=", 2)),
+    "target.variance": ("target_variance", float, 0.05, (">", 0.0)),
+    "initial_state": ("initial_state", (float,) * 4, _REQUIRED, None),
+    "domain.lo": ("domain_lo", float, 0.0, (">=", 0.0)),
+    "domain.hi": ("domain_hi", float, 6.0, None),
+    "grid.npoints": ("npoints", int, 15, (">=", 3)),
+    "grid.full_scale_npoints": ("full_scale_npoints", int, 51, (">=", 3)),
+    "time.t_final": ("t_final", float, 10.0, (">", 0.0)),
+    "time.n_steps": ("n_steps", int, 100, (">=", 1)),
+    "time.full_scale_n_steps": ("full_scale_n_steps", int, 200, (">=", 1)),
+    "objective.alpha": ("alpha", float, 1.0, (">=", 0.0)),
+    "objective.nu1": ("nu1", float, 0.01, (">=", 0.0)),
+    "objective.nu2": ("nu2", float, 0.01, (">=", 0.0)),
+    "dose_bounds.d1": ("d1", float, 7.0, (">=", 0.0)),
+    "dose_bounds.d2": ("d2", float, 0.072, (">=", 0.0)),
+    "dose_scales.chemo_mg_per_day": ("chemo_scale", float, 1.0, None),
+    "dose_scales.il2_iu_per_l_per_day": ("il2_scale", float, 1.0e7, None),
+    "sde.n_paths": ("sde_paths", int, 100_000, (">=", 1)),
+    "sde.n_steps": ("sde_steps", int, 1000, (">=", 1)),
+})
+_TOP_KEYS = {key.partition(".")[0]: "." in key for key in _FIELDS}  # name -> is a block
 
 
-def _as_float(value, context: str) -> float:
+def _unknown(key, valid) -> ScenarioError:
+    close = difflib.get_close_matches(str(key), valid, n=1)
+    return ScenarioError(f"unknown key {key}" + (f"; did you mean {close[0]}?" if close else ""))
+
+
+def _convert(key: str, kind, value):
+    """``value`` read as ``kind``, or a ScenarioError naming ``key``."""
+    if isinstance(kind, tuple):
+        if not isinstance(value, list) or len(value) != len(kind):
+            raise ScenarioError(f"field {key} must be a list of {len(kind)} numbers, "
+                                f"got {value!r}")
+        return tuple(_convert(key, float, v) for v in value)
+    if isinstance(value, bool) or kind in (str, bool):
+        if type(value) is kind:
+            return value
+    elif kind is int and isinstance(value, int):
+        return value
+    else:
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if math.isfinite(number) and (kind is float or number.is_integer()):
+            return kind(number)
+    raise ScenarioError(f"field {key} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _read(doc: dict) -> dict:
+    """Every table key's value: converted and bounds-checked, or its default."""
+    given = {}
+    for key, value in doc.items():
+        if key not in _TOP_KEYS:
+            raise _unknown(key, list(_TOP_KEYS))
+        if not _TOP_KEYS[key]:
+            given[key] = value
+        elif isinstance(value, (dict, type(None))):
+            for sub, sub_value in (value or {}).items():
+                if f"{key}.{sub}" not in _FIELDS:
+                    raise _unknown(f"{key}.{sub}", list(_FIELDS))
+                given[f"{key}.{sub}"] = sub_value
+        else:
+            raise ScenarioError(f"{key} must be a mapping of fields, got {value!r}")
+
+    missing = [key for key, (_, _, default, _) in _FIELDS.items()
+               if default is _REQUIRED and key not in given]
+    if missing:
+        raise ScenarioError("missing mandatory base parameters or settings "
+                            "(literature-sourced, never defaulted): " + ", ".join(missing))
+    values = {}
+    for key, (_, kind, default, bound) in _FIELDS.items():
+        values[key] = _convert(key, kind, given[key]) if key in given else default
+        if bound and not _BOUND_CHECKS[bound[0]](values[key], bound[1]):
+            raise ScenarioError(f"field {key} must be {bound[0]} {bound[1]}, "
+                                f"got {values[key]!r}")
+    return values
+
+
+def _build(what: str, make, *args, **kwargs):
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"field {context} must be a number, got {value!r}") from None
-
-
-def _as_int(value, context: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"field {context} must be an integer, got {value!r}") from None
-
-
-def _as_bool(value, context: str) -> bool:
-    if not isinstance(value, bool):
-        raise ScenarioError(f"field {context} must be true or false, got {value!r}")
-    return value
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid {what}: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:
@@ -129,164 +225,28 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
-    except yaml.MarkedYAMLError as exc:
-        mark = exc.problem_mark
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ScenarioError(f"cannot parse {path}{where}: {exc.problem}") from exc
+        problem = getattr(exc, "problem", None) or exc
+        raise ScenarioError(f"cannot parse {path}{where}: {problem}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"scenario {path} must be a mapping")
 
-    raw_params = doc.get("parameters") or {}
-    missing = [f for f in _PARAM_FIELDS if f not in raw_params]
-    if missing:
-        raise ScenarioError(
-            "missing mandatory base parameters (literature-sourced, never defaulted): "
-            + ", ".join(missing)
-        )
-    try:
-        params = DimensionalParams(**{f: _as_float(raw_params[f], f"parameters.{f}")
-                                      for f in _PARAM_FIELDS})
-    except ValueError as exc:
-        raise ScenarioError(f"invalid parameters: {exc}") from exc
+    values = _read(doc)
+    fields = {attr: values[key] for key, (attr, *_) in _FIELDS.items()}
+    # fields that several keys feed are built from all of them
+    for block, (attr, cls) in _BLOCKS.items():
+        fields[attr] = _build(block, cls, **{f.name: values[f"{block}.{f.name}"]
+                                             for f in dataclasses.fields(cls)})
+    fields["patient_triple"] = tuple(values[f"patient.{key}"] for key in "dls")
+    fields["initial_state"] = _build("initial_state", State.from_array, values["initial_state"])
+    fields["name"] = values["name"] or path.stem
+    scenario = Scenario(**fields)
 
-    raw_scaling = doc.get("scaling") or {}
-    missing = [f for f in _SCALING_FIELDS if f not in raw_scaling]
-    if missing:
-        raise ScenarioError("missing scaling constants: " + ", ".join(missing))
-    try:
-        scaling = ScalingConstants(**{f: _as_float(raw_scaling[f], f"scaling.{f}")
-                                      for f in _SCALING_FIELDS})
-    except ValueError as exc:
-        raise ScenarioError(f"invalid scaling: {exc}") from exc
-
-    patient = _require(doc, "patient", "scenario")
-    triple = tuple(_as_float(_require(patient, key, "patient"), f"patient.{key}")
-                   for key in ("d", "l", "s"))
-
-    target = doc.get("target") or {}
-    target_triple = tuple(
-        _as_float(v, "target.triple")
-        for v in target.get("triple", [2.1, 1.1, 1.25])
-    )
-    if len(target_triple) != 3:
-        raise ScenarioError("target.triple must have exactly three entries")
-
-    x0_raw = _require(doc, "initial_state", "scenario")
-    if not isinstance(x0_raw, (list, tuple)) or len(x0_raw) != 4:
-        raise ScenarioError("initial_state must be a list of four numbers")
-    try:
-        x0 = State.from_array([_as_float(v, "initial_state") for v in x0_raw])
-    except ValueError as exc:
-        raise ScenarioError(f"invalid initial_state: {exc}") from exc
-
-    domain = doc.get("domain") or {}
-    lo = _as_float(domain.get("lo", 0.0), "domain.lo")
-    hi = _as_float(domain.get("hi", 6.0), "domain.hi")
-    if hi <= lo:
+    if scenario.domain_hi <= scenario.domain_lo:
         raise ScenarioError("domain.hi must exceed domain.lo")
-
-    grid_block = doc.get("grid") or {}
-    npoints = _as_int(grid_block.get("npoints", 15), "grid.npoints")
-    full_np = _as_int(grid_block.get("full_scale_npoints", 51), "grid.full_scale_npoints")
-    if npoints < 3 or full_np < 3:
-        raise ScenarioError("grid.npoints must be at least 3")
-
-    time_block = doc.get("time") or {}
-    t_final = _as_float(time_block.get("t_final", 10.0), "time.t_final")
-    n_steps = _as_int(time_block.get("n_steps", 100), "time.n_steps")
-    full_ns = _as_int(time_block.get("full_scale_n_steps", 200), "time.full_scale_n_steps")
-    if t_final <= 0 or n_steps < 1 or full_ns < 1:
-        raise ScenarioError("time.t_final must be positive and step counts >= 1")
-
-    disp_block = doc.get("dispersion") or {}
-    try:
-        disp = DispersionSpec(
-            scale=_as_float(disp_block.get("scale", 0.5), "dispersion.scale"),
-            exponent=_as_float(disp_block.get("exponent", 1.2), "dispersion.exponent"),
-            offset=_as_float(disp_block.get("offset", 0.001), "dispersion.offset"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"invalid dispersion: {exc}") from exc
-
-    objective = doc.get("objective") or {}
-    alpha = _as_float(objective.get("alpha", 1.0), "objective.alpha")
-    nu1 = _as_float(objective.get("nu1", 0.01), "objective.nu1")
-    nu2 = _as_float(objective.get("nu2", 0.01), "objective.nu2")
-    if alpha < 0 or nu1 < 0 or nu2 < 0:
-        raise ScenarioError("objective weights must be non-negative")
-
-    bounds = doc.get("dose_bounds") or {}
-    d1 = _as_float(bounds.get("d1", 7.0), "dose_bounds.d1")
-    d2 = _as_float(bounds.get("d2", 0.072), "dose_bounds.d2")
-    if d1 < 0 or d2 < 0:
-        raise ScenarioError("dose bounds must be non-negative")
-
-    scales = doc.get("dose_scales") or {}
-    chemo_scale = _as_float(scales.get("chemo_mg_per_day", 1.0), "dose_scales.chemo_mg_per_day")
-    il2_scale = _as_float(scales.get("il2_iu_per_l_per_day", 1.0e7),
-                          "dose_scales.il2_iu_per_l_per_day")
-
-    n_anchors = _as_int(target.get("n_anchors", 20), "target.n_anchors")
-    variance = _as_float(target.get("variance", 0.05), "target.variance")
-    if n_anchors < 2:
-        raise ScenarioError("target.n_anchors must be at least 2")
-    if variance <= 0:
-        raise ScenarioError("target.variance must be positive")
-
-    opt = doc.get("optimizer") or {}
-    try:
-        pcfg = PncgConfig(
-            k_max=_as_int(opt.get("k_max", 200), "optimizer.k_max"),
-            tol=_as_float(opt.get("tol", 1e-5), "optimizer.tol"),
-            armijo_alpha0=_as_float(opt.get("armijo_alpha0", 1.0), "optimizer.armijo_alpha0"),
-            armijo_rho=_as_float(opt.get("armijo_rho", 0.5), "optimizer.armijo_rho"),
-            armijo_c1=_as_float(opt.get("armijo_c1", 1e-4), "optimizer.armijo_c1"),
-            armijo_max_backtracks=_as_int(opt.get("armijo_max_backtracks", 40),
-                                          "optimizer.armijo_max_backtracks"),
-            use_h1_gradient=_as_bool(opt.get("use_h1_gradient", True), "optimizer.use_h1_gradient"),
-            h1_epsilon=_as_float(opt.get("h1_epsilon", 1e-2), "optimizer.h1_epsilon"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"invalid optimizer block: {exc}") from exc
-
-    sde_block = doc.get("sde") or {}
-    sde_paths = _as_int(sde_block.get("n_paths", 100_000), "sde.n_paths")
-    sde_steps = _as_int(sde_block.get("n_steps", 1000), "sde.n_steps")
-    if sde_paths < 1 or sde_steps < 1:
-        raise ScenarioError("sde.n_paths and sde.n_steps must be >= 1")
-
-    scenario = Scenario(
-        name=str(doc.get("name", path.stem)),
-        description=str(doc.get("description", "")),
-        params=params,
-        scaling=scaling,
-        patient_triple=triple,
-        target_triple=target_triple,
-        initial_state=x0,
-        domain_lo=lo,
-        domain_hi=hi,
-        npoints=npoints,
-        full_scale_npoints=full_np,
-        t_final=t_final,
-        n_steps=n_steps,
-        full_scale_n_steps=full_ns,
-        dispersion=disp,
-        alpha=alpha,
-        nu1=nu1,
-        nu2=nu2,
-        d1=d1,
-        d2=d2,
-        chemo_scale=chemo_scale,
-        il2_scale=il2_scale,
-        n_anchors=n_anchors,
-        target_variance=variance,
-        optimizer=pcfg,
-        sde_paths=sde_paths,
-        sde_steps=sde_steps,
-        seed=_as_int(doc.get("seed", 0), "seed"),
-    )
-
     state = scenario.initial_state.as_array()
-    if np.any(state < lo) or np.any(state > hi):
+    if np.any(state < scenario.domain_lo) or np.any(state > scenario.domain_hi):
         raise ScenarioError("initial_state lies outside the domain")
     return scenario

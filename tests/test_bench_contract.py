@@ -1,15 +1,21 @@
-"""The names the benchmark's traced run wraps must exist in the program.
+"""What the benchmark uses of the program must keep working.
 
 ``bench/spans.py`` is read as text, never imported or edited, so a
 deletion in ``src`` that would break the traced run fails here first.
+The workloads pass ``seed=`` to the run functions, and the harness's
+self-test runs on the current program.
 """
 
 import ast
 import importlib
+import inspect
+import subprocess
+import sys
 import types
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def traced_names():
@@ -37,3 +43,16 @@ def test_submodule_import_binds_the_module():
     import fpcontrol.pncg as m
 
     assert isinstance(m, types.ModuleType)
+
+
+def test_runs_the_workloads_call_accept_a_seed():
+    from fpcontrol.pipeline import run_oracle, run_pipeline
+
+    for run in (run_pipeline, run_oracle):
+        assert "seed" in inspect.signature(run).parameters, run.__name__
+
+
+def test_bench_selftest_passes():
+    result = subprocess.run([sys.executable, str(BENCH / "selftest.py")],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpcontrol.errors import MassDeviationError
+from fpcontrol.errors import MassDeviationError, SolverError
 from fpcontrol.fpsolver import (
     AxisDiscretization,
     DgStepper,
@@ -286,7 +286,7 @@ class TestSolveForward:
         with pytest.raises(ValueError, match="uniform"):
             solve_forward(f0, u, q, grid)
 
-    def test_l2_monitor_recorded_and_envelope_flag(self):
+    def test_l2_monitor_recorded(self):
         grid = Grid4D.cube(0.0, 6.0, 9)
         q = weak_patient()
         f0 = gaussian_on_grid(grid, [0.5, 1.0, 1.0, 1.0], 0.2)
@@ -294,7 +294,14 @@ class TestSolveForward:
         _, diag = solve_forward(f0, u, q, grid)
         assert diag.l2_norm.shape == (11,)
         assert np.all(diag.l2_norm > 0)
-        assert not diag.envelope_exceeded
+
+    def test_nonfinite_mass_stops_the_solve(self):
+        # zero noise makes every face diffusion zero, so the first step is NaN
+        grid = Grid4D.cube(0.0, 6.0, 7)
+        f0 = gaussian_on_grid(grid, [0.5, 1.0, 1.0, 1.0], 0.2)
+        u = ControlSchedule.zeros(0.5, 4, 7.0, 0.072)
+        with pytest.raises(SolverError, match="after step 1"):
+            solve_forward(f0, u, weak_patient(), grid, disp=DispersionSpec(scale=0.0))
 
 
 class TestConvergenceOrder:

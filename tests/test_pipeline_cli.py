@@ -173,7 +173,16 @@ class TestCli:
     @pytest.mark.parametrize("line, bad_line, field", [
         ("  npoints: 13", "  npoints: nine", "grid.npoints"),
         ("  use_h1_gradient: true", '  use_h1_gradient: "false"', "optimizer.use_h1_gradient"),
-    ], ids=["npoints", "use_h1_gradient"])
+        ("  scale: 0.5", "  scale: 0", "dispersion.scale"),
+        ("  exponent: 1.2", "  exponent: -1", "dispersion.exponent"),
+        ("  lo: 0.0", "  lo: -1", "domain.lo"),
+        ("seed: 1234", "seed: -3", "seed"),
+        ("  t_final: 10.0", "  t_final: .nan", "time.t_final"),
+        ("  npoints: 13", "  npoints: 9.7", "grid.npoints"),
+        ("time:", "tme:", "tme"),
+        ("  k_max: 30", "  kmax: 3", "optimizer.kmax"),
+    ], ids=["npoints", "use_h1_gradient", "dispersion_scale", "dispersion_exponent",
+            "domain_lo", "seed", "t_final_nan", "npoints_fraction", "tme", "kmax"])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, line, bad_line, field):
         text = Path(scenario_path("testcase1")).read_text()
         assert line in text
@@ -181,6 +190,37 @@ class TestCli:
         bad.write_text(text.replace(line, bad_line))
         assert cli_main(["target", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--seed", "seven"), ("--checkpoint-every", "0"),
+    ])
+    def test_bad_integer_option_exits_2(self, tmp_path, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["gradcheck", scenario_path("demo_small"), "--out", str(tmp_path),
+                      flag, value])
+        assert exc.value.code == 2
+
+    def test_full_scale_runs_at_the_full_scale_resolution(self, tmp_path):
+        text = Path(scenario_path("demo_small")).read_text()
+        edits = {"full": [("full_scale_npoints: 51", "full_scale_npoints: 7"),
+                          ("full_scale_n_steps: 200", "full_scale_n_steps: 4")],
+                 "plain": [("  npoints: 9\n", "  npoints: 7\n"),
+                           ("  n_steps: 10\n", "  n_steps: 4\n")]}
+        for name, pairs in edits.items():
+            edited = text
+            for old, new in pairs:
+                assert edited.count(old) == 1
+                edited = edited.replace(old, new)
+            (tmp_path / f"{name}.scenario").write_text(edited)
+        assert cli_main(["target", str(tmp_path / "full.scenario"), "--full-scale",
+                         "--out", str(tmp_path / "full")]) == 0
+        assert cli_main(["target", str(tmp_path / "plain.scenario"),
+                         "--out", str(tmp_path / "plain")]) == 0
+        names = sorted(p.name for p in (tmp_path / "full").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "plain").iterdir())
+        for name in names:
+            assert ((tmp_path / "full" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes()), name
 
     def test_solve_and_reports(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,7 +1,14 @@
+import copy
+import functools
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpcontrol.errors import ScenarioError
 from fpcontrol.model import ControlSchedule
@@ -9,8 +16,35 @@ from fpcontrol.pipeline import dimensionalize_controls
 from fpcontrol.scenario import load_scenario
 
 
+BUNDLED = ("testcase1", "testcase2", "oracle_check", "conservation_check", "gradcheck",
+           "demo_small")
+
+
 def scenario_path(name: str):
     return resources.files("fpcontrol") / "scenarios" / f"{name}.scenario"
+
+
+@functools.cache
+def bundled_doc(name: str) -> dict:
+    return yaml.safe_load(scenario_path(name).read_text())
+
+
+def key_paths(doc: dict):
+    """Every top-level key, and every key one block down."""
+    paths = []
+    for key, value in doc.items():
+        paths.append((key,))
+        if isinstance(value, dict):
+            paths.extend((key, sub) for sub in value)
+    return paths
+
+
+yaml_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=8,
+)
 
 
 class TestBundledScenarios:
@@ -90,6 +124,27 @@ class TestValidation:
         p.write_text(src.replace("  t_final: 2.0", "  t_final: bogus"))
         with pytest.raises(ScenarioError, match="t_final"):
             load_scenario(p)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(BUNDLED), data=st.data())
+    def test_any_one_key_edit_loads_or_raises_scenario_error(self, name, data):
+        doc = copy.deepcopy(bundled_doc(name))
+        *parents, key = data.draw(st.sampled_from(key_paths(doc)), label="key")
+        block = doc[parents[0]] if parents else doc
+        action = data.draw(st.sampled_from(["delete", "rename", "replace"]), label="action")
+        value = block.pop(key)
+        if action == "rename":
+            block[data.draw(st.text(max_size=12), label="new name")] = value
+        elif action == "replace":
+            block[key] = data.draw(yaml_values, label="new value")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edited.scenario"
+            path.write_text(yaml.safe_dump(doc))
+            try:
+                load_scenario(path)
+            except ScenarioError:
+                pass
 
 
 class TestDimensionalizeControls:
