@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fpsolver import DensityField, DgStepper, build_fp_stepper
-from .grid import Grid4D
 from .model import ControlSchedule, DispersionSpec, NonDimParams
 from .target import TargetDensity
 
@@ -81,8 +80,8 @@ def objective(
     return 0.5 * alpha * track + 0.5 * nu1 * cost1 + 0.5 * nu2 * cost2
 
 
-def _mismatch_source(grid: Grid4D, f_m, fstar_m, alpha: float, wt_m: float) -> np.ndarray:
-    return alpha * wt_m * grid.weights() * (f_m - fstar_m)
+def _mismatch_source(weights: np.ndarray, f_m, fstar_m, alpha: float, wt_m: float) -> np.ndarray:
+    return alpha * wt_m * weights * (f_m - fstar_m)
 
 
 def adjoint_gradient(
@@ -117,7 +116,9 @@ def adjoint_gradient(
     euclid_g1 = nu1 * wt * u.u1
     euclid_g2 = nu2 * wt * u.u2
 
-    p = _mismatch_source(grid, f.snapshot(n_steps), f_star.snapshot(n_steps), alpha, wt[n_steps])
+    weights = grid.weights()
+    p = _mismatch_source(weights, f.snapshot(n_steps), f_star.snapshot(n_steps), alpha,
+                         wt[n_steps])
 
     for m in range(n_steps - 1, -1, -1):
         u_m = u.at_index(m)
@@ -138,7 +139,7 @@ def adjoint_gradient(
                 total += 0.5 * dt * float(np.sum(qstages[j] * cg))
             acc[m] += total
 
-        p = p_prev + _mismatch_source(grid, f_m, f_star.snapshot(m), alpha, wt[m])
+        p = p_prev + _mismatch_source(weights, f_m, f_star.snapshot(m), alpha, wt[m])
 
     return ControlGradient(times=times.copy(), g1=euclid_g1 / wt, g2=euclid_g2 / wt)
 

@@ -148,7 +148,11 @@ class AxisDiscretization:
 
     ``dface`` holds sigma^2/2 at faces, ``f0_face`` the control-free
     drift component, and ``g1_face``/``g2_face`` the per-unit-dose drift
-    slopes; all broadcastable against the moved grid shape.
+    slopes. Each keeps its natural shape: full length n-1 on the last
+    (own) axis, and on every other axis either that axis' size or 1
+    where the coefficient does not vary along it. The bands built from
+    them have the same reduced leading shape and broadcast against the
+    moved grid shape wherever they meet the density.
     """
 
     n: int
@@ -290,7 +294,11 @@ def build_fp_stepper(grid: Grid4D, q: NonDimParams,
         x = xs[j]
         sig = disp.sigma(x)
         dface = 0.25 * (sig[:-1] ** 2 + sig[1:] ** 2)
-        fj = np.broadcast_to(f_components[j], grid.shape)
+        # expand along axis j only; the other axes keep the size the
+        # drift depends on, so F_C's bands are (1, 1, 1, n) per step
+        shape = list(f_components[j].shape)
+        shape[j] = grid.npts[j]
+        fj = np.broadcast_to(f_components[j], shape)
         fj_m = np.moveaxis(fj, j, -1)
         f0_face = 0.5 * (fj_m[..., :-1] + fj_m[..., 1:])
         xface = 0.5 * (x[:-1] + x[1:])

@@ -230,6 +230,8 @@ def load_scenario(path) -> Scenario:
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         problem = getattr(exc, "problem", None) or exc
         raise ScenarioError(f"cannot parse {path}{where}: {problem}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"scenario {path} must be a mapping")
 

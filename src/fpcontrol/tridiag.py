@@ -1,9 +1,12 @@
 """Batched tridiagonal (Thomas) solves along the last array axis.
 
-All band arrays share the shape (..., n): ``lower[..., i]`` multiplies
+The three bands share one shape (..., n): ``lower[..., i]`` multiplies
 x[..., i-1] (entry 0 unused) and ``upper[..., i]`` multiplies
 x[..., i+1] (entry n-1 unused). Leading axes are independent systems
-solved in one vectorized sweep.
+solved in one vectorized sweep. The bands' leading axes need only
+broadcast against the right-hand side's: a band axis of size 1 serves
+every line along it, so the pivots and elimination factors of lines
+with equal coefficients are computed once.
 """
 
 from __future__ import annotations
@@ -42,13 +45,14 @@ def thomas_solve(lower, diag, upper, rhs) -> np.ndarray:
     cp = np.empty_like(diag)
     dp = np.empty_like(rhs)
 
+    lines = rhs.shape[:-1]
     pivot = diag[..., 0]
-    _check_pivot(pivot, 0)
+    _check_pivot(pivot, 0, lines)
     cp[..., 0] = upper[..., 0] / pivot
     dp[..., 0] = rhs[..., 0] / pivot
     for i in range(1, n):
         pivot = diag[..., i] - lower[..., i] * cp[..., i - 1]
-        _check_pivot(pivot, i)
+        _check_pivot(pivot, i, lines)
         cp[..., i] = upper[..., i] / pivot
         dp[..., i] = (rhs[..., i] - lower[..., i] * dp[..., i - 1]) / pivot
 
@@ -70,8 +74,15 @@ def transpose_bands(lower, diag, upper):
     return lo_t, np.asarray(diag, dtype=float), up_t
 
 
-def _check_pivot(pivot, stage: int) -> None:
+def _check_pivot(pivot, stage: int, lines: tuple[int, ...]) -> None:
+    """Raise at the first right-hand-side line whose pivot vanishes.
+
+    ``lines`` is the right-hand side's batch shape; broadcast bands are
+    expanded to it (on the failure path only) so the reported index
+    counts the solved lines, not the band lines.
+    """
     bad = np.abs(pivot) < _PIVOT_FLOOR
     if np.any(bad):
-        line = int(np.argmax(bad.reshape(-1))) if np.ndim(bad) else 0
+        bad = np.broadcast_to(bad, np.broadcast_shapes(bad.shape, lines))
+        line = int(np.argmax(bad.reshape(-1))) if bad.ndim else 0
         raise TridiagonalBreakdown(stage, line)

@@ -116,3 +116,40 @@ class TestDiscreteAdjoint:
         assert np.array_equal(g_full.g1, g_chk.g1)
         assert np.array_equal(g_full.g2, g_chk.g2)
 
+
+class TestReducedFaceShapes:
+    # Each drift component is expanded along its own axis only; the
+    # stepper must give the same bits as with full-size face data.
+
+    def test_face_data_keeps_its_natural_shape_and_the_same_bits(self):
+        grid = Grid4D(lo=(0.0,) * 4, hi=(6.0, 5.5, 5.0, 4.5), npts=(13, 12, 11, 10))
+        q, disp = weak_patient(), DispersionSpec()
+        t_grid = np.linspace(0.0, 2.0, 9)
+        x0 = np.array([0.5, 1.0, 1.0, 1.0])
+        traj = integrate(State.from_array(x0), None, strong_patient(), t_grid[-1], 400)
+        fstar = build_target(traj, 5, 0.25, grid, t_grid)
+        f0 = gaussian_on_grid(grid, x0, 0.25)
+        rng = np.random.default_rng(8)
+        u = ControlSchedule(t_grid, rng.uniform(0.0, 7.0, t_grid.size),
+                            rng.uniform(0.0, 0.072, t_grid.size), 7.0, 0.072)
+
+        reduced = build_fp_stepper(grid, q, disp)
+        assert [ax.f0_face.shape for ax in reduced.axes] == [
+            (12, 11, 1, 12), (13, 1, 10, 11), (13, 12, 10, 10), (1, 1, 1, 9)]
+        full = build_fp_stepper(grid, q, disp)
+        for j, ax in enumerate(full.axes):
+            moved = grid.shape[:j] + grid.shape[j + 1:] + (grid.npts[j] - 1,)
+            ax.f0_face = np.broadcast_to(ax.f0_face, moved)
+
+        dt = float(t_grid[1] - t_grid[0])
+        p = rng.normal(size=grid.shape)
+        runs = []
+        for stepper in (reduced, full):
+            g, bands, _, _ = stepper.step(f0, u.at_index(3), dt, capture_stages=True)
+            mtp, qstages = stepper.step_transpose(p, dt, bands)
+            field, _ = solve_forward(f0, u, q, grid, disp=disp, stepper=stepper)
+            grad = adjoint_gradient(field, fstar, u, q, 1.0, 0.01, 0.01, disp=disp,
+                                    stepper=stepper)
+            runs.append([g, mtp, *qstages, field.snapshot(field.n_steps), grad.g1, grad.g2])
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)

@@ -100,3 +100,13 @@ class TestThomas:
     def test_breakdown_reports_stage(self):
         with pytest.raises(TridiagonalBreakdown):
             thomas_solve(np.zeros(3), np.zeros(3), np.zeros(3), np.ones(3))
+
+    def test_breakdown_line_counts_right_hand_side_lines(self):
+        # band line 1 of (2, 1, n) serves right-hand-side lines 3, 4, 5
+        # of (2, 3, n); the first of them is the one reported
+        lo, up = np.zeros((2, 1, 4)), np.zeros((2, 1, 4))
+        di = np.ones((2, 1, 4))
+        di[1, 0, 2] = 0.0
+        with pytest.raises(TridiagonalBreakdown) as exc:
+            thomas_solve(lo, di, up, np.ones((2, 3, 4)))
+        assert (exc.value.stage, exc.value.line) == (2, 3)

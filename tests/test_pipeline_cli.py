@@ -191,6 +191,16 @@ class TestCli:
         assert cli_main(["target", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("make", [
+        lambda path: path.write_bytes(b"\xff\xfe\x00garbage"),
+        lambda path: path.mkdir(),
+    ], ids=["not_utf8", "directory"])
+    def test_unreadable_scenario_exits_2(self, tmp_path, capsys, make):
+        bad = tmp_path / "bad.scenario"
+        make(bad)
+        assert cli_main(["target", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [
         ("--seed", "-1"), ("--seed", "seven"), ("--checkpoint-every", "0"),
     ])
