@@ -97,11 +97,11 @@ def adjoint_gradient(
 ) -> ControlGradient:
     """One backward sweep producing the exact discrete gradient.
 
-    Walks the stored forward history from the final time to the start,
-    recomputing each step's stages from its snapshot, applying the
-    transposed propagator to the running adjoint, and accumulating the
-    dose sensitivities of every flux on the way. Only the running
-    adjoint is held, so large runs stay within memory.
+    Walks the stored forward history from the final time to the start;
+    each step's vector-Jacobian product (``DgStepper.step_transpose``)
+    applies the transposed propagator to the running adjoint and yields
+    the step's dose sensitivities. Only the running adjoint and two
+    snapshots are held, so large runs stay within memory.
     """
     _check_alignment(f, f_star)
     grid = f.grid
@@ -111,35 +111,20 @@ def adjoint_gradient(
     wt = time_weights(times)
     dt = float(times[1] - times[0])
     n_steps = f.n_steps
-    ndim = stepper.ndim
 
     euclid_g1 = nu1 * wt * u.u1
     euclid_g2 = nu2 * wt * u.u2
 
     weights = grid.weights()
-    p = _mismatch_source(weights, f.snapshot(n_steps), f_star.snapshot(n_steps), alpha,
-                         wt[n_steps])
-
+    f_next = f.snapshot(n_steps)
+    p = _mismatch_source(weights, f_next, f_star.snapshot(n_steps), alpha, wt[n_steps])
     for m in range(n_steps - 1, -1, -1):
-        u_m = u.at_index(m)
         f_m = f.snapshot(m)
-        _, bands, _, stages = stepper.step(f_m, u_m, dt, capture_stages=True)
-
-        p_prev, qstages = stepper.step_transpose(p, dt, bands)
-
-        for channel, acc in ((1, euclid_g1), (2, euclid_g2)):
-            total = 0.0
-            for j in range(ndim):
-                cbands = stepper.axes[j].control_bands(u_m[0], u_m[1], channel)
-                if cbands is None:
-                    continue
-                cf = stepper.apply_operator(j, f_m, cbands)
-                total += dt * float(np.sum(qstages[0] * cf))
-                cg = stepper.apply_operator(j, stages[j] - f_m, cbands)
-                total += 0.5 * dt * float(np.sum(qstages[j] * cg))
-            acc[m] += total
-
+        p_prev, (s1, s2) = stepper.step_transpose(f_m, f_next, u.at_index(m), dt, p)
+        euclid_g1[m] += s1
+        euclid_g2[m] += s2
         p = p_prev + _mismatch_source(weights, f_m, f_star.snapshot(m), alpha, wt[m])
+        f_next = f_m
 
     return ControlGradient(times=times.copy(), g1=euclid_g1 / wt, g2=euclid_g2 / wt)
 

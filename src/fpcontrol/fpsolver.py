@@ -34,7 +34,13 @@ import numpy as np
 from .errors import DivergenceError, MassDeviationError, SingularOperatorError
 from .grid import Grid4D
 from .model import ControlSchedule, DispersionSpec, NonDimParams, control_jacobian_profiles, drift
-from .tridiag import TridiagonalBreakdown, thomas_solve, transpose_bands
+from .tridiag import (
+    ThomasFactors,
+    TridiagonalBreakdown,
+    thomas_factor,
+    thomas_factored_solve,
+    thomas_solve,
+)
 
 log = logging.getLogger(__name__)
 
@@ -82,20 +88,18 @@ def cc_weight(w):
 
 
 def cc_weight_derivative(w):
-    """d delta / d w; needed when differentiating fluxes in the control."""
-    w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    small = np.abs(w) < 1e-3
-    big = np.abs(w) > 500.0
-    mid = ~(small | big)
+    """d delta / d w; needed when differentiating fluxes in the control.
 
-    ws = w[small]
-    out[small] = -1.0 / 12.0 + ws**2 / 240.0
-    wm = w[mid]
-    em = np.expm1(wm)
-    out[mid] = -1.0 / wm**2 + np.exp(wm) / em**2
-    wb = w[big]
-    out[big] = -1.0 / wb**2 + np.exp(-np.abs(wb))
+    Uses the even form -1/w^2 + e^-|w| / expm1(-|w|)^2, which cannot
+    overflow for any finite w, and a short series near w = 0.
+    """
+    w = np.asarray(w, dtype=float)
+    small = np.abs(w) < 1e-3
+    wd = np.where(small, 1.0, w)  # keeps the direct form away from w = 0
+    wa = np.abs(wd)
+    inv = 1.0 / wd
+    out = np.where(small, -1.0 / 12.0 + w * w / 240.0,
+                   np.exp(-wa) / np.expm1(-wa) ** 2 - inv * inv)
     if out.ndim == 0:
         return float(out)
     return out
@@ -124,6 +128,12 @@ def _flux_difference_bands(a_face, b_face, delta_nodes):
     di[..., :-1] += b_face / delta_nodes[:-1]
     di[..., 1:] -= a_face / delta_nodes[1:]
     return lo, di, up
+
+
+def _implicit_bands(bands, theta_dt):
+    """Bands of I - theta_dt A from the bands of A."""
+    lo, di, up = bands
+    return -theta_dt * lo, 1.0 - theta_dt * di, -theta_dt * up
 
 
 def _band_apply(bands, f):
@@ -169,16 +179,54 @@ class AxisDiscretization:
     def drift_faces(self, u1: float, u2: float) -> np.ndarray:
         return self.f0_face + u1 * self.g1_face + u2 * self.g2_face
 
-    def operator_bands(self, u1: float, u2: float):
+    def fitted_faces(self, u1: float, u2: float):
+        """Face drift F, its cell Peclet number w and fitting weight delta(w)."""
         F = self.drift_faces(u1, u2)
         w = self.h * F / self.dface
-        delta = cc_weight(w)
+        return F, w, cc_weight(w)
+
+    def bands_from_faces(self, F, delta):
         a = self.dface / self.h - F * delta
         b = -self.dface / self.h - F * (1.0 - delta)
         return _flux_difference_bands(a, b, self.delta_nodes)
 
+    def operator_bands(self, u1: float, u2: float):
+        F, _, delta = self.fitted_faces(u1, u2)
+        return self.bands_from_faces(F, delta)
+
+    def dose_face_sums(self, faces, terms) -> np.ndarray:
+        """Face sums V with g_c . V = sum of weight * <q, C_c x> over ``terms``.
+
+        ``faces`` is (F, w, delta) from ``fitted_faces``; ``terms`` holds
+        (weight, x, q) in moved layout; C_c = dA/du_c. Channel c's face
+        weights are g_c A on the right node and g_c (-1 - A) on the left,
+        with A = -(delta + F delta'(w) h/D), so its flux through a face is
+        g_c (A (x_R - x_L) - x_L), and <q, C_c x> sums that against
+        q_L/delta_L - q_R/delta_R. V reduces every axis but the last.
+        """
+        F, w, delta = faces
+        slope = -(delta + F * cc_weight_derivative(w) * (self.h / self.dface))
+        total = None
+        for weight, x, qv in terms:
+            qd = qv * (weight / self.delta_nodes)
+            dq = qd[..., :-1] - qd[..., 1:]
+            # in place from here on: the layout, and so the order of the
+            # final sum, follows x's and not the face data's shape
+            flux = x[..., 1:] - x[..., :-1]
+            flux *= slope
+            flux -= x[..., :-1]
+            flux *= dq
+            if total is None:
+                total = flux
+            else:
+                total += flux
+        return np.einsum(total, list(range(total.ndim)), [total.ndim - 1])
+
     def control_bands(self, u1: float, u2: float, channel: int):
-        """Bands of dA/du for one control channel (None if inactive)."""
+        """Bands of dA/du for one control channel (None if inactive).
+
+        The reference that ``dose_face_sums`` is tested against.
+        """
         g = self.g1_face if channel == 1 else self.g2_face
         if np.all(g == 0.0):
             return None
@@ -207,12 +255,17 @@ class DgStepper:
         self.axes = axes
         self.shape = shape
         self.ndim = len(shape)
+        # axis j moved last and back; a stored permutation is much cheaper
+        # per call than np.moveaxis
+        order = range(self.ndim)
+        self._to_last = [tuple(i for i in order if i != j) + (j,) for j in order]
+        self._from_last = [tuple(perm.index(i) for i in order) for perm in self._to_last]
 
     def _mv(self, arr, j):
-        return np.moveaxis(arr, j, -1)
+        return arr.transpose(self._to_last[j])
 
     def _unmv(self, arr, j):
-        return np.moveaxis(arr, -1, j)
+        return arr.transpose(self._from_last[j])
 
     def apply_operator(self, j: int, f: np.ndarray, bands) -> np.ndarray:
         return self._unmv(_band_apply(bands, self._mv(f, j)), j)
@@ -220,63 +273,88 @@ class DgStepper:
     def apply_operator_transpose(self, j: int, p: np.ndarray, bands) -> np.ndarray:
         return self._unmv(_band_apply_transpose(bands, self._mv(p, j)), j)
 
-    def _implicit_solve(self, j: int, bands, rhs: np.ndarray, theta_dt: float,
-                        transposed: bool = False) -> np.ndarray:
-        lo, di, up = bands
-        sl, sd, su = -theta_dt * lo, 1.0 - theta_dt * di, -theta_dt * up
-        if transposed:
-            sl, sd, su = transpose_bands(sl, sd, su)
+    def _breakdown(self, j: int, exc: TridiagonalBreakdown) -> SingularOperatorError:
+        return SingularOperatorError(
+            f"implicit solve broke down on axis {j}, line {exc.line}",
+            axis=j,
+            line=exc.line,
+        )
+
+    def _implicit_solve(self, j: int, bands, rhs: np.ndarray, theta_dt: float) -> np.ndarray:
         try:
-            x = thomas_solve(sl, sd, su, self._mv(rhs, j))
+            x = thomas_solve(*_implicit_bands(bands, theta_dt), self._mv(rhs, j))
         except TridiagonalBreakdown as exc:
-            raise SingularOperatorError(
-                f"implicit solve broke down on axis {j}, line {exc.line}",
-                axis=j,
-                line=exc.line,
-            ) from exc
+            raise self._breakdown(j, exc) from exc
         return self._unmv(x, j)
 
-    def step(self, f: np.ndarray, u: tuple[float, float], dt: float,
-             capture_stages: bool = False):
-        """Advance one Douglas-Gunn step with coefficients frozen at u.
+    def _implicit_factor(self, j: int, bands, theta_dt: float) -> ThomasFactors:
+        lines = self.shape[:j] + self.shape[j + 1:]
+        try:
+            return thomas_factor(*_implicit_bands(bands, theta_dt), lines)
+        except TridiagonalBreakdown as exc:
+            raise self._breakdown(j, exc) from exc
 
-        Returns the new snapshot; with ``capture_stages`` also the
-        per-axis band sets, the explicit applications A_j f, and the
-        intermediate stages (used by the discrete adjoint).
-        """
+    def _factored_solve(self, j: int, factors: ThomasFactors, rhs: np.ndarray,
+                        transposed: bool = False) -> np.ndarray:
+        return self._unmv(thomas_factored_solve(factors, self._mv(rhs, j), transposed), j)
+
+    def step(self, f: np.ndarray, u: tuple[float, float], dt: float) -> np.ndarray:
+        """Advance one Douglas-Gunn step with coefficients frozen at u."""
         u1, u2 = u
         bands = [ax.operator_bands(u1, u2) for ax in self.axes]
         af = [self.apply_operator(j, f, bands[j]) for j in range(self.ndim)]
         g = f + dt * sum(af)
-        stages = []
         for j in range(self.ndim):
             rhs = g - 0.5 * dt * af[j]
             g = self._implicit_solve(j, bands[j], rhs, 0.5 * dt)
-            stages.append(g)
-        if capture_stages:
-            return g, bands, af, stages
         return g
 
-    def step_transpose(self, p_next: np.ndarray, dt: float, bands):
-        """Apply the transpose of one step's propagator to ``p_next``.
+    def step_transpose(self, f: np.ndarray, f_next: np.ndarray, u: tuple[float, float],
+                       dt: float, p_next: np.ndarray):
+        """Vector-Jacobian product of the step f -> f_next = M(u) f.
 
-        ``bands`` are the step's per-axis band sets from ``step``.
-        Returns M^T p and the per-axis stage adjoints q_j (reverse
-        order of the forward corrections), which the control gradient
-        reuses.
+        Rebuilds the step's bands and factors each implicit operator once;
+        the factors serve both the recomputed stages (the last stage is
+        ``f_next`` itself) and the transposed solves, A^T = U^T L^T.
+        Returns M^T p_next and, per dose channel c, the sensitivity
+        <p_next, dM/du_c f>, taken from one face contraction per axis.
         """
+        u1, u2 = u
+        half = 0.5 * dt
+        faces = [ax.fitted_faces(u1, u2) for ax in self.axes]
+        bands = [ax.bands_from_faces(F, delta) for ax, (F, _, delta) in zip(self.axes, faces)]
+        factors = [self._implicit_factor(j, bands[j], half) for j in range(self.ndim)]
+
+        af = [self.apply_operator(j, f, bands[j]) for j in range(self.ndim)]
+        g = f + dt * sum(af)
+        stages = []
+        for j in range(self.ndim - 1):
+            g = self._factored_solve(j, factors[j], g - half * af[j])
+            stages.append(g)
+        stages.append(f_next)
+        del af
+
         q = [None] * self.ndim
         v = p_next
         for j in range(self.ndim - 1, -1, -1):
-            v = self._implicit_solve(j, bands[j], v, 0.5 * dt, transposed=True)
+            v = self._factored_solve(j, factors[j], v, transposed=True)
             q[j] = v
         q1 = q[0]
-        out = q1 + dt * sum(
-            self.apply_operator_transpose(j, q1, bands[j]) for j in range(self.ndim)
+        out = q1 + sum(
+            self.apply_operator_transpose(j, dt * q1 - half * q[j], bands[j])
+            for j in range(self.ndim)
         )
-        for j in range(self.ndim):
-            out -= 0.5 * dt * self.apply_operator_transpose(j, q[j], bands[j])
-        return out, q
+
+        # predictor: dt <q1, C_j f>; correction j: dt/2 <q_j, C_j (g_j - f)>
+        sens = np.zeros(2)
+        for j, ax in enumerate(self.axes):
+            if np.all(ax.g1_face == 0.0) and np.all(ax.g2_face == 0.0):
+                continue
+            v_face = ax.dose_face_sums(faces[j], (
+                (dt, self._mv(f, j), self._mv(q1, j)),
+                (half, self._mv(stages[j] - f, j), self._mv(q[j], j))))
+            sens += (np.dot(ax.g1_face, v_face), np.dot(ax.g2_face, v_face))
+        return out, (float(sens[0]), float(sens[1]))
 
 
 def build_fp_stepper(grid: Grid4D, q: NonDimParams,

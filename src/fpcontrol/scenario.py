@@ -224,7 +224,8 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"scenario file not found: {path}")
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            # libyaml's parser where PyYAML was built with it; same safe schema
+            doc = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

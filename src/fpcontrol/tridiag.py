@@ -7,13 +7,22 @@ solved in one vectorized sweep. The bands' leading axes need only
 broadcast against the right-hand side's: a band axis of size 1 serves
 every line along it, so the pivots and elimination factors of lines
 with equal coefficients are computed once.
+
+``thomas_factor`` stores the elimination A = L U: the pivots on the
+diagonal of L, ``lower`` below it, and ``cp`` above the unit diagonal
+of U, pivots and ``cp`` stage-major (n, ...) so each stage is
+contiguous. ``thomas_factored_solve`` reuses them for A x = b and,
+since A^T = U^T L^T, for A^T x = b with no second factorization.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-__all__ = ["thomas_solve", "transpose_bands", "TridiagonalBreakdown"]
+__all__ = ["ThomasFactors", "thomas_factor", "thomas_factored_solve", "thomas_solve",
+           "TridiagonalBreakdown"]
 
 _PIVOT_FLOOR = 1e-300
 
@@ -27,62 +36,86 @@ class TridiagonalBreakdown(RuntimeError):
         self.line = line
 
 
-def thomas_solve(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve the batched systems without pivoting.
+class ThomasFactors(NamedTuple):
+    lower: np.ndarray
+    pivot: np.ndarray
+    cp: np.ndarray
+
+
+def thomas_factor(lower, diag, upper, lines: tuple[int, ...] = ()) -> ThomasFactors:
+    """Eliminate without pivoting and check every pivot once.
 
     The callers assemble weakly diagonally dominant M-matrix systems, so
     plain elimination is stable; a vanishing pivot is reported instead
-    of patched.
+    of patched. ``lines`` is the batch shape of the right-hand sides the
+    factors will serve, so a breakdown names a solved line.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
     n = diag.shape[-1]
     if n < 1:
         raise ValueError("empty system")
 
-    cp = np.empty_like(diag)
+    # stage-major storage: each stage's pivots and factors are contiguous
+    pivot = np.empty((n,) + diag.shape[:-1])
+    cp = np.empty_like(pivot)
+    # a vanishing pivot turns the rest of its line into inf/NaN; the
+    # check below reports the first one, so the warnings say nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pivot[0] = diag[..., 0]
+        cp[0] = upper[..., 0] / pivot[0]
+        for i in range(1, n):
+            pivot[i] = diag[..., i] - lower[..., i] * cp[i - 1]
+            cp[i] = upper[..., i] / pivot[i]
+    _check_pivots(pivot, lines)
+    return ThomasFactors(lower, pivot, cp)
+
+
+def thomas_factored_solve(factors: ThomasFactors, rhs, transposed: bool = False) -> np.ndarray:
+    """Solve A x = rhs, or A^T x = rhs, with the factors of A."""
+    lower, pivot, cp = factors
+    rhs = np.asarray(rhs, dtype=float)
+    n = pivot.shape[0]
     dp = np.empty_like(rhs)
-
-    lines = rhs.shape[:-1]
-    pivot = diag[..., 0]
-    _check_pivot(pivot, 0, lines)
-    cp[..., 0] = upper[..., 0] / pivot
-    dp[..., 0] = rhs[..., 0] / pivot
-    for i in range(1, n):
-        pivot = diag[..., i] - lower[..., i] * cp[..., i - 1]
-        _check_pivot(pivot, i, lines)
-        cp[..., i] = upper[..., i] / pivot
-        dp[..., i] = (rhs[..., i] - lower[..., i] * dp[..., i - 1]) / pivot
-
     x = np.empty_like(rhs)
+    if transposed:
+        # U^T y = rhs (unit lower), then L^T x = y (upper, pivots on the diagonal)
+        dp[..., 0] = rhs[..., 0]
+        for i in range(1, n):
+            dp[..., i] = rhs[..., i] - cp[i - 1] * dp[..., i - 1]
+        x[..., n - 1] = dp[..., n - 1] / pivot[n - 1]
+        for i in range(n - 2, -1, -1):
+            x[..., i] = (dp[..., i] - lower[..., i + 1] * x[..., i + 1]) / pivot[i]
+        return x
+
+    dp[..., 0] = rhs[..., 0] / pivot[0]
+    for i in range(1, n):
+        dp[..., i] = (rhs[..., i] - lower[..., i] * dp[..., i - 1]) / pivot[i]
     x[..., n - 1] = dp[..., n - 1]
     for i in range(n - 2, -1, -1):
-        x[..., i] = dp[..., i] - cp[..., i] * x[..., i + 1]
+        x[..., i] = dp[..., i] - cp[i] * x[..., i + 1]
     return x
 
 
-def transpose_bands(lower, diag, upper):
-    """Bands of the transposed operator, same (..., n) layout."""
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    lo_t = np.zeros_like(lower)
-    up_t = np.zeros_like(upper)
-    lo_t[..., 1:] = upper[..., :-1]
-    up_t[..., :-1] = lower[..., 1:]
-    return lo_t, np.asarray(diag, dtype=float), up_t
+def thomas_solve(lower, diag, upper, rhs) -> np.ndarray:
+    """Factor and solve the batched systems in one call."""
+    rhs = np.asarray(rhs, dtype=float)
+    return thomas_factored_solve(thomas_factor(lower, diag, upper, rhs.shape[:-1]), rhs)
 
 
-def _check_pivot(pivot, stage: int, lines: tuple[int, ...]) -> None:
-    """Raise at the first right-hand-side line whose pivot vanishes.
+def _check_pivots(pivot, lines: tuple[int, ...]) -> None:
+    """Raise at the first stage with a vanishing pivot, naming its first line.
 
-    ``lines`` is the right-hand side's batch shape; broadcast bands are
-    expanded to it (on the failure path only) so the reported index
-    counts the solved lines, not the band lines.
+    ``pivot`` is stage-major, (n, ...). Lines broken at an earlier stage
+    carry inf/NaN pivots afterwards, which do not count as vanishing.
+    Broadcast bands are expanded to the right-hand side's batch shape
+    ``lines`` (on the failure path only) so the reported index counts
+    the solved lines.
     """
     bad = np.abs(pivot) < _PIVOT_FLOOR
-    if np.any(bad):
-        bad = np.broadcast_to(bad, np.broadcast_shapes(bad.shape, lines))
-        line = int(np.argmax(bad.reshape(-1))) if bad.ndim else 0
-        raise TridiagonalBreakdown(stage, line)
+    if not np.any(bad):
+        return
+    stage = int(np.argmax(bad.reshape(bad.shape[0], -1).any(axis=1)))
+    at_stage = np.broadcast_to(bad[stage], np.broadcast_shapes(bad.shape[1:], lines))
+    raise TridiagonalBreakdown(stage, int(np.argmax(at_stage.reshape(-1))))

@@ -145,11 +145,65 @@ class TestReducedFaceShapes:
         p = rng.normal(size=grid.shape)
         runs = []
         for stepper in (reduced, full):
-            g, bands, _, _ = stepper.step(f0, u.at_index(3), dt, capture_stages=True)
-            mtp, qstages = stepper.step_transpose(p, dt, bands)
+            g = stepper.step(f0, u.at_index(3), dt)
+            mtp, sens = stepper.step_transpose(f0, g, u.at_index(3), dt, p)
             field, _ = solve_forward(f0, u, q, grid, disp=disp, stepper=stepper)
             grad = adjoint_gradient(field, fstar, u, q, 1.0, 0.01, 0.01, disp=disp,
                                     stepper=stepper)
-            runs.append([g, mtp, *qstages, field.snapshot(field.n_steps), grad.g1, grad.g2])
+            runs.append([g, mtp, np.array(sens), field.snapshot(field.n_steps),
+                         grad.g1, grad.g2])
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
+
+
+def seeded_step_case(seed=8):
+    """Production stepper on an uneven grid at a seeded admissible dose."""
+    grid = Grid4D(lo=(0.0,) * 4, hi=(6.0, 5.5, 5.0, 4.5), npts=(13, 12, 11, 10))
+    stepper = build_fp_stepper(grid, weak_patient(), DispersionSpec())
+    rng = np.random.default_rng(seed)
+    u = (rng.uniform(0.0, 7.0), rng.uniform(0.0, 0.072))
+    return grid, stepper, u, rng
+
+
+class TestStepTranspose:
+    # step_transpose is the vector-Jacobian product of one step: its first
+    # output is M^T p, its second the dose sensitivities <p, dM/du_c f>.
+
+    def test_transpose_is_the_adjoint_of_the_step(self):
+        grid, stepper, u, rng = seeded_step_case()
+        dt = 0.25
+        x = rng.normal(size=grid.shape)
+        p = rng.normal(size=grid.shape)
+        mx = stepper.step(x, u, dt)
+        mtp, _ = stepper.step_transpose(x, mx, u, dt, p)
+        lhs, rhs = float(np.sum(mx * p)), float(np.sum(x * mtp))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_face_sums_match_the_control_bands(self):
+        grid, stepper, (u1, u2), rng = seeded_step_case(seed=9)
+        x = rng.normal(size=grid.shape)
+        qv = rng.normal(size=grid.shape)
+        for j, ax in enumerate(stepper.axes):
+            v = ax.dose_face_sums(ax.fitted_faces(u1, u2),
+                                  ((1.0, np.moveaxis(x, j, -1), np.moveaxis(qv, j, -1)),))
+            for channel, g in ((1, ax.g1_face), (2, ax.g2_face)):
+                cbands = ax.control_bands(u1, u2, channel)
+                if cbands is None:
+                    assert np.all(g == 0.0)
+                    continue
+                ref = float(np.sum(qv * stepper.apply_operator(j, x, cbands)))
+                assert abs(float(np.dot(g, v)) - ref) <= 1e-12 * abs(ref)
+
+    def test_sensitivities_match_finite_differences_of_the_step(self):
+        grid, stepper, u, rng = seeded_step_case(seed=10)
+        dt = 0.25
+        f0 = gaussian_on_grid(grid, np.array([0.5, 1.0, 1.0, 1.0]), 0.25)
+        p = rng.normal(size=grid.shape)
+        _, sens = stepper.step_transpose(f0, stepper.step(f0, u, dt), u, dt, p)
+        for c, eps in ((0, 1e-4), (1, 1e-6)):
+            up, dn = list(u), list(u)
+            up[c] += eps
+            dn[c] -= eps
+            fd = float(np.sum(p * (stepper.step(f0, tuple(up), dt)
+                                   - stepper.step(f0, tuple(dn), dt)))) / (2 * eps)
+            assert sens[c] == pytest.approx(fd, rel=1e-8)

@@ -57,6 +57,15 @@ class TestCcWeight:
         fd = (cc_weight(w + step) - cc_weight(w - step)) / (2 * step)
         assert cc_weight_derivative(w) == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
+    def test_derivative_does_not_overflow_at_large_peclet_numbers(self):
+        # |w| reaches 580 at 21^4 and 1039 at 31^4; (e^w - 1)^2 overflows past 355
+        w = np.concatenate([np.linspace(355.0, 500.0, 30), -np.linspace(355.0, 500.0, 30)])
+        with np.errstate(over="raise"):
+            got = cc_weight_derivative(w)
+        with mp.workdps(50):
+            ref = [float(-1 / mp.mpf(x) ** 2 + mp.exp(x) / mp.expm1(x) ** 2) for x in w]
+        assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
+
 
 def make_ou_axis(n, lo, hi, theta, center, sigma):
     x = np.linspace(lo, hi, n)

@@ -1,8 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from fpcontrol.grid import Grid4D
-from fpcontrol.tridiag import TridiagonalBreakdown, thomas_solve, transpose_bands
+from fpcontrol.tridiag import (
+    TridiagonalBreakdown,
+    thomas_factor,
+    thomas_factored_solve,
+    thomas_solve,
+)
 
 
 class TestGrid4D:
@@ -90,12 +97,15 @@ class TestThomas:
                             np.broadcast_to(up, (6, 11)), rhs)
         assert np.array_equal(x, full)
 
-    def test_transpose_bands_match_dense_transpose(self, rng):
-        lo, di, up, rhs = self._random_system(rng, (), 13)
-        lo_t, di_t, up_t = transpose_bands(lo, di, up)
-        x = thomas_solve(lo_t, di_t, up_t, rhs)
-        expected = np.linalg.solve(self._dense(lo, di, up).T, rhs)
-        assert np.allclose(x, expected, rtol=1e-12, atol=1e-13)
+    def test_factored_transpose_solve_matches_dense_transpose(self, rng):
+        lo, di, up, _ = self._random_system(rng, (3,), 13)
+        rhs = rng.normal(size=(2, 3, 13))
+        factors = thomas_factor(lo, di, up, rhs.shape[:-1])
+        x = thomas_factored_solve(factors, rhs, transposed=True)
+        for idx in np.ndindex(2, 3):
+            dense_t = self._dense(lo[idx[1]], di[idx[1]], up[idx[1]]).T
+            expected = np.linalg.solve(dense_t, rhs[idx])
+            assert np.allclose(x[idx], expected, rtol=1e-12, atol=1e-13)
 
     def test_breakdown_reports_stage(self):
         with pytest.raises(TridiagonalBreakdown):
@@ -110,3 +120,21 @@ class TestThomas:
         with pytest.raises(TridiagonalBreakdown) as exc:
             thomas_solve(lo, di, up, np.ones((2, 3, 4)))
         assert (exc.value.stage, exc.value.line) == (2, 3)
+
+    def test_breakdown_stage_survives_later_nonfinite_pivots(self):
+        # band line 1 of (2, 1, 5) has a zero pivot at stage 2 of 5; its
+        # elimination factor there is -inf, so stages 3 and 4 get NaN
+        # pivots. The one check per factorization still names stage 2
+        # and right-hand-side line 3, and no warning escapes.
+        lo = np.zeros((2, 1, 5))
+        up = np.full((2, 1, 5), -0.5)
+        up[..., -1] = 0.0
+        di = np.ones((2, 1, 5))
+        di[1, 0, 2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (lambda: thomas_factor(lo, di, up, (2, 3)),
+                          lambda: thomas_solve(lo, di, up, np.ones((2, 3, 5)))):
+                with pytest.raises(TridiagonalBreakdown) as exc:
+                    solve()
+                assert (exc.value.stage, exc.value.line) == (2, 3)
