@@ -91,15 +91,19 @@ def cc_weight_derivative(w):
     """d delta / d w; needed when differentiating fluxes in the control.
 
     Uses the even form -1/w^2 + e^-|w| / expm1(-|w|)^2, which cannot
-    overflow for any finite w, and a short series near w = 0.
+    overflow for any finite w. Its two terms cancel as w -> 0, so below
+    |w| = 0.2 the Taylor series through w^8 takes over; both hold a
+    relative error under 1e-13.
     """
     w = np.asarray(w, dtype=float)
-    small = np.abs(w) < 1e-3
+    small = np.abs(w) < 0.2
     wd = np.where(small, 1.0, w)  # keeps the direct form away from w = 0
     wa = np.abs(wd)
     inv = 1.0 / wd
-    out = np.where(small, -1.0 / 12.0 + w * w / 240.0,
-                   np.exp(-wa) / np.expm1(-wa) ** 2 - inv * inv)
+    w2 = w * w
+    series = -1.0 / 12.0 + w2 * (1.0 / 240.0 - w2 * (1.0 / 6048.0
+                                 - w2 * (1.0 / 172800.0 - w2 / 5322240.0)))
+    out = np.where(small, series, np.exp(-wa) / np.expm1(-wa) ** 2 - inv * inv)
     if out.ndim == 0:
         return float(out)
     return out

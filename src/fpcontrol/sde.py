@@ -5,10 +5,18 @@ Paths follow Euler-Maruyama steps of dX = F(X, U) dt + sigma(X) dW with
 mirror reflection at the box walls, the pathwise counterpart of the
 solver's no-flux closure. Randomness comes from a counter-based Philox
 stream keyed by the seed, so ensembles are reproducible bit for bit.
+
+The state is held component-major, shape (4, n_paths), so the drift and
+the update run on contiguous rows; only entries that left the box are
+reflected. One worker thread draws the next step's noise into one of two
+fixed buffers while the current step advances. It is the only user of
+the stream after the initial sampler, so the draws come in the same
+order as from a single thread and the ensemble is unchanged.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,15 +57,27 @@ class PathEnsemble:
         return rows
 
 
-def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, dt: float) -> np.ndarray:
-    """Mirror components back into [lo, hi]; fail if it will not settle."""
+def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, dt: float) -> None:
+    """Mirror the rows of ``x`` (4, n) back into [lo, hi] in place.
+
+    Only the entries outside the box are gathered and swept, below then
+    above, until they settle; fail if they do not within the sweep limit.
+    """
+    outside = (x < lo[:, None]) | (x > hi[:, None])
+    if not outside.any():
+        return
+    idx = np.nonzero(outside)
+    v = x[idx]
+    lo_v = lo[idx[0]]
+    hi_v = hi[idx[0]]
     for _ in range(_MAX_REFLECTIONS):
-        below = x < lo
-        above = x > hi
+        below = v < lo_v
+        above = v > hi_v
         if not (below.any() or above.any()):
-            return x
-        x = np.where(below, 2.0 * lo - x, x)
-        x = np.where(above, 2.0 * hi - x, x)
+            x[idx] = v
+            return
+        v = np.where(below, 2.0 * lo_v - v, v)
+        v = np.where(above, 2.0 * hi_v - v, v)
     raise ReflectionError(
         f"reflection did not settle within {_MAX_REFLECTIONS} sweeps; "
         f"the step size {dt:g} is too large for the noise level"
@@ -99,8 +119,9 @@ def simulate_paths(
 
     ``x0`` is either a fixed initial ``State`` or a callable
     ``rng -> (n_paths, 4)`` drawing from the initial density. Noise is
-    drawn per step for all paths at once; the Philox stream depends only
-    on the seed, so identical inputs reproduce the ensemble exactly.
+    drawn per step for all paths at once, one step ahead on a worker
+    thread; the Philox stream depends only on the seed, so identical
+    inputs reproduce the ensemble exactly.
     """
     if n_paths < 1 or n_steps < 1:
         raise ValueError("n_paths and n_steps must be >= 1")
@@ -135,19 +156,26 @@ def simulate_paths(
     if 0 in obs_lookup:
         samples[obs_lookup[0]] = x
 
-    for m in range(n_steps):
-        t = m * dt
-        if u is None:
-            u_t = (0.0, 0.0)
-        else:
-            u_t = u.at_time(t)
-        fx = np.column_stack(drift((x[:, 0], x[:, 1], x[:, 2], x[:, 3]), u_t, q))
-        sigma = disp.sigma(np.clip(x, 0.0, None))
-        noise = rng.standard_normal((n_paths, 4))
-        x = x + fx * dt + sigma * sqrt_dt * noise
-        x = _reflect(x, lo, hi, dt)
-        if m + 1 in obs_lookup:
-            samples[obs_lookup[m + 1]] = x
+    x = x.T.copy()  # never steps in place on the sampler's own array
+    noise = (np.empty((n_paths, 4)), np.empty((n_paths, 4)))
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = worker.submit(rng.standard_normal, out=noise[0])
+        for m in range(n_steps):
+            dw = pending.result()
+            if m + 1 < n_steps:
+                pending = worker.submit(rng.standard_normal, out=noise[(m + 1) % 2])
+            t = m * dt
+            if u is None:
+                u_t = (0.0, 0.0)
+            else:
+                u_t = u.at_time(t)
+            fx = drift((x[0], x[1], x[2], x[3]), u_t, q)
+            for i in range(4):
+                sigma = disp.sigma(np.clip(x[i], 0.0, None))
+                x[i] = x[i] + fx[i] * dt + sigma * sqrt_dt * dw[:, i]
+            _reflect(x, lo, hi, dt)
+            if m + 1 in obs_lookup:
+                samples[obs_lookup[m + 1]] = x.T
 
     return PathEnsemble(seed=seed, times=observe_at, samples=samples, lo=lo, hi=hi)
 

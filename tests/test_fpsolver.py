@@ -66,6 +66,16 @@ class TestCcWeight:
             ref = [float(-1 / mp.mpf(x) ** 2 + mp.exp(x) / mp.expm1(x) ** 2) for x in w]
         assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
 
+    def test_derivative_matches_high_precision_across_series_switch(self):
+        # the direct form's two ~1/w^2 terms cancel for small |w|, so the
+        # series must carry the range where they would lose digits
+        mag = np.logspace(-6.0, 1.0, 281)
+        w = np.concatenate([mag, -mag])
+        got = cc_weight_derivative(w)
+        with mp.workdps(50):
+            ref = [float(-1 / mp.mpf(x) ** 2 + mp.exp(x) / mp.expm1(x) ** 2) for x in w]
+        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+
 
 def make_ou_axis(n, lo, hi, theta, center, sigma):
     x = np.linspace(lo, hi, n)
