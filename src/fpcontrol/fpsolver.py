@@ -21,6 +21,10 @@ each correction needing only tridiagonal solves along its axis. Walls
 are closed by forcing the boundary face flux to zero and updating the
 wall nodes over half cells, which keeps the trapezoidal mass of every
 step conserved to rounding.
+
+Everything along axis j is stored and swept with axis j first: face data
+(n-1, ...), bands (n, ...), and each solve's one contiguous copy of the
+density. A step returns the density in the grid's C order.
 """
 
 from __future__ import annotations
@@ -117,20 +121,20 @@ def _flux_difference_bands(a_face, b_face, delta_nodes):
     """Assemble (lower, diag, upper) of the flux-difference operator.
 
     ``a_face``/``b_face`` weight the right/left node in each face flux,
-    shape (..., n-1); ``delta_nodes`` are the control lengths (h, halved
+    shape (n-1, ...); ``delta_nodes`` are the control lengths (h, halved
     at walls). Boundary faces are absent, which encodes the no-flux
     closure.
     """
-    n = delta_nodes.size
+    n = delta_nodes.shape[0]
     base = np.broadcast_shapes(np.shape(a_face), np.shape(b_face))
-    shape = base[:-1] + (n,)
+    shape = (n,) + base[1:]
     lo = np.zeros(shape)
     di = np.zeros(shape)
     up = np.zeros(shape)
-    up[..., :-1] = a_face / delta_nodes[:-1]
-    lo[..., 1:] = -b_face / delta_nodes[1:]
-    di[..., :-1] += b_face / delta_nodes[:-1]
-    di[..., 1:] -= a_face / delta_nodes[1:]
+    up[:-1] = a_face / delta_nodes[:-1]
+    lo[1:] = -b_face / delta_nodes[1:]
+    di[:-1] += b_face / delta_nodes[:-1]
+    di[1:] -= a_face / delta_nodes[1:]
     return lo, di, up
 
 
@@ -143,30 +147,30 @@ def _implicit_bands(bands, theta_dt):
 def _band_apply(bands, f):
     lo, di, up = bands
     out = di * f
-    out[..., :-1] += up[..., :-1] * f[..., 1:]
-    out[..., 1:] += lo[..., 1:] * f[..., :-1]
+    out[:-1] += up[:-1] * f[1:]
+    out[1:] += lo[1:] * f[:-1]
     return out
 
 
 def _band_apply_transpose(bands, p):
     lo, di, up = bands
     out = di * p
-    out[..., :-1] += lo[..., 1:] * p[..., 1:]
-    out[..., 1:] += up[..., :-1] * p[..., :-1]
+    out[:-1] += lo[1:] * p[1:]
+    out[1:] += up[:-1] * p[:-1]
     return out
 
 
 @dataclass
 class AxisDiscretization:
-    """Face data for one axis, stored with that axis moved last.
+    """Face data for one axis, stored with that axis first.
 
     ``dface`` holds sigma^2/2 at faces, ``f0_face`` the control-free
     drift component, and ``g1_face``/``g2_face`` the per-unit-dose drift
-    slopes. Each keeps its natural shape: full length n-1 on the last
-    (own) axis, and on every other axis either that axis' size or 1
-    where the coefficient does not vary along it. The bands built from
-    them have the same reduced leading shape and broadcast against the
-    moved grid shape wherever they meet the density.
+    slopes. Each keeps its natural shape: full length n-1 on the first
+    (own) axis, and on every other axis, in grid order, either that
+    axis' size or 1 where the coefficient does not vary along it. The
+    bands built from them, (n, ...), broadcast against the axis-first
+    view of the density wherever they meet it.
     """
 
     n: int
@@ -177,7 +181,7 @@ class AxisDiscretization:
     g2_face: np.ndarray
 
     def __post_init__(self):
-        self.delta_nodes = np.full(self.n, self.h)
+        self.delta_nodes = np.full((self.n,) + self.dface.shape[1:], self.h)
         self.delta_nodes[0] = self.delta_nodes[-1] = 0.5 * self.h
 
     def drift_faces(self, u1: float, u2: float) -> np.ndarray:
@@ -202,29 +206,29 @@ class AxisDiscretization:
         """Face sums V with g_c . V = sum of weight * <q, C_c x> over ``terms``.
 
         ``faces`` is (F, w, delta) from ``fitted_faces``; ``terms`` holds
-        (weight, x, q) in moved layout; C_c = dA/du_c. Channel c's face
+        (weight, x, q) as axis-first views; C_c = dA/du_c. Channel c's face
         weights are g_c A on the right node and g_c (-1 - A) on the left,
         with A = -(delta + F delta'(w) h/D), so its flux through a face is
         g_c (A (x_R - x_L) - x_L), and <q, C_c x> sums that against
-        q_L/delta_L - q_R/delta_R. V reduces every axis but the last.
+        q_L/delta_L - q_R/delta_R. V reduces every axis but the first.
         """
         F, w, delta = faces
         slope = -(delta + F * cc_weight_derivative(w) * (self.h / self.dface))
         total = None
         for weight, x, qv in terms:
             qd = qv * (weight / self.delta_nodes)
-            dq = qd[..., :-1] - qd[..., 1:]
+            dq = qd[:-1] - qd[1:]
             # in place from here on: the layout, and so the order of the
-            # final sum, follows x's and not the face data's shape
-            flux = x[..., 1:] - x[..., :-1]
+            # final sum, follows the first x's and not the face data's shape
+            flux = x[1:] - x[:-1]
             flux *= slope
-            flux -= x[..., :-1]
+            flux -= x[:-1]
             flux *= dq
             if total is None:
                 total = flux
             else:
                 total += flux
-        return np.einsum(total, list(range(total.ndim)), [total.ndim - 1])
+        return np.einsum(total, list(range(total.ndim)), [0])
 
     def control_bands(self, u1: float, u2: float, channel: int):
         """Bands of dA/du for one control channel (None if inactive).
@@ -256,20 +260,22 @@ class DgStepper:
         for j, ax in enumerate(axes):
             if ax.n != shape[j]:
                 raise ValueError(f"axis {j} size mismatch: {ax.n} vs {shape[j]}")
+            if any(np.ndim(a) != len(shape) for a in (ax.dface, ax.f0_face, ax.g1_face, ax.g2_face)):
+                raise ValueError(f"axis {j} face data needs {len(shape)} dimensions, own axis first")
         self.axes = axes
         self.shape = shape
         self.ndim = len(shape)
-        # axis j moved last and back; a stored permutation is much cheaper
+        # axis j moved first and back; a stored permutation is much cheaper
         # per call than np.moveaxis
         order = range(self.ndim)
-        self._to_last = [tuple(i for i in order if i != j) + (j,) for j in order]
-        self._from_last = [tuple(perm.index(i) for i in order) for perm in self._to_last]
+        self._to_first = [(j,) + tuple(i for i in order if i != j) for j in order]
+        self._from_first = [tuple(perm.index(i) for i in order) for perm in self._to_first]
 
     def _mv(self, arr, j):
-        return arr.transpose(self._to_last[j])
+        return arr.transpose(self._to_first[j])
 
     def _unmv(self, arr, j):
-        return arr.transpose(self._from_last[j])
+        return arr.transpose(self._from_first[j])
 
     def apply_operator(self, j: int, f: np.ndarray, bands) -> np.ndarray:
         return self._unmv(_band_apply(bands, self._mv(f, j)), j)
@@ -311,7 +317,9 @@ class DgStepper:
         for j in range(self.ndim):
             rhs = g - 0.5 * dt * af[j]
             g = self._implicit_solve(j, bands[j], rhs, 0.5 * dt)
-        return g
+        # C order: the quadratures' sums, so the mass and objective bits,
+        # follow the memory layout of what they integrate
+        return np.ascontiguousarray(g)
 
     def step_transpose(self, f: np.ndarray, f_next: np.ndarray, u: tuple[float, float],
                        dt: float, p_next: np.ndarray):
@@ -357,7 +365,7 @@ class DgStepper:
             v_face = ax.dose_face_sums(faces[j], (
                 (dt, self._mv(f, j), self._mv(q1, j)),
                 (half, self._mv(stages[j] - f, j), self._mv(q[j], j))))
-            sens += (np.dot(ax.g1_face, v_face), np.dot(ax.g2_face, v_face))
+            sens += (np.dot(ax.g1_face.ravel(), v_face), np.dot(ax.g2_face.ravel(), v_face))
         return out, (float(sens[0]), float(sens[1]))
 
 
@@ -377,23 +385,18 @@ def build_fp_stepper(grid: Grid4D, q: NonDimParams,
         sig = disp.sigma(x)
         dface = 0.25 * (sig[:-1] ** 2 + sig[1:] ** 2)
         # expand along axis j only; the other axes keep the size the
-        # drift depends on, so F_C's bands are (1, 1, 1, n) per step
+        # drift depends on, so F_C's bands are (n, 1, 1, 1) per step
         shape = list(f_components[j].shape)
         shape[j] = grid.npts[j]
         fj = np.broadcast_to(f_components[j], shape)
-        fj_m = np.moveaxis(fj, j, -1)
-        f0_face = 0.5 * (fj_m[..., :-1] + fj_m[..., 1:])
+        fj_m = np.moveaxis(fj, j, 0)
+        f0_face = 0.5 * (fj_m[:-1] + fj_m[1:])
         xface = 0.5 * (x[:-1] + x[1:])
-        axes.append(
-            AxisDiscretization(
-                n=grid.npts[j],
-                h=grid.h,
-                dface=dface,
-                f0_face=np.ascontiguousarray(f0_face),
-                g1_face=g1[j] * xface,
-                g2_face=g2[j] * xface,
-            )
-        )
+        col = (-1, 1, 1, 1)
+        axes.append(AxisDiscretization(
+            n=grid.npts[j], h=grid.h, dface=dface.reshape(col),
+            f0_face=np.ascontiguousarray(f0_face),
+            g1_face=(g1[j] * xface).reshape(col), g2_face=(g2[j] * xface).reshape(col)))
     return DgStepper(axes, grid.shape)
 
 
@@ -438,7 +441,7 @@ class DensityField:
     With ``store_every == 1`` every snapshot is kept. A larger stride
     keeps checkpoints only and re-steps the gaps on demand, trading
     compute for memory on large grids; reconstruction is exact because
-    the stepper is deterministic.
+    the stepper is deterministic. ``store`` keeps the array, not a copy.
     """
 
     def __init__(self, grid: Grid4D, times: np.ndarray, store_every: int = 1,
@@ -463,7 +466,7 @@ class DensityField:
 
     def store(self, m: int, f: np.ndarray) -> None:
         if self.store_every == 1 or m % self.store_every == 0 or m == self.n_steps:
-            self._snaps[m] = f.copy()
+            self._snaps[m] = f  # steps return fresh arrays and write no input
 
     def snapshot(self, m: int) -> np.ndarray:
         if not 0 <= m <= self.n_steps:

@@ -71,6 +71,10 @@ class RunReport:
     mean_tumor_untreated_end: float
     mean_tumor_treated_start: float
     mean_tumor_treated_end: float
+    forward_solves: int
+    backward_sweeps: int
+    objective_evals: int
+    armijo_backtracks: int
     outputs: dict
 
     def to_json(self, path) -> None:
@@ -87,7 +91,9 @@ class FpControlProblem:
     Each gradient call runs one forward solve and one fused backward
     sweep; objectives reuse a tiny forward cache keyed by the schedule's
     bytes so the Armijo loop does not recompute accepted iterates.
-    ``forward`` also supplies the untreated and treated fields.
+    ``forward`` also supplies the untreated and treated fields. The
+    counters tally the forward solves (cache misses), backward sweeps
+    and objective evaluations of the problem's lifetime.
     """
 
     def __init__(self, f0, fstar: TargetDensity, q, grid: Grid4D, disp,
@@ -104,20 +110,24 @@ class FpControlProblem:
         self.stepper = build_fp_stepper(grid, q, disp)
         self._cache_key = None
         self._cache = None
+        self.forward_solves = self.backward_sweeps = self.objective_evals = 0
 
     def forward(self, u: ControlSchedule) -> tuple[DensityField, ForwardDiagnostics]:
         """Density history and diagnostics at u; a repeat call at u reuses the solve."""
         key = (u.u1.tobytes(), u.u2.tobytes())
         if key != self._cache_key:
+            self.forward_solves += 1
             self._cache = solve_forward(self.f0, u, self.q, self.grid, disp=self.disp,
                                         store_every=self.store_every, stepper=self.stepper)
             self._cache_key = key
         return self._cache
 
     def objective(self, u: ControlSchedule) -> float:
+        self.objective_evals += 1
         return objective(self.forward(u)[0], self.fstar, u, self.alpha, self.nu1, self.nu2)
 
     def gradient(self, u: ControlSchedule):
+        self.backward_sweeps += 1
         return adjoint_gradient(self.forward(u)[0], self.fstar, u, self.q, self.alpha,
                                 self.nu1, self.nu2, disp=self.disp, stepper=self.stepper)
 
@@ -253,6 +263,10 @@ def run_pipeline(scenario: Scenario, out_dir, seed: int | None = None,
         mean_tumor_untreated_end=float(mean_untr[-1, 1]),
         mean_tumor_treated_start=float(mean_tr[0, 1]),
         mean_tumor_treated_end=float(mean_tr[-1, 1]),
+        forward_solves=problem.forward_solves,
+        backward_sweeps=problem.backward_sweeps,
+        objective_evals=problem.objective_evals,
+        armijo_backtracks=trace.backtracks,
         outputs=outputs,
     )
     report.to_json(out / "report.json")

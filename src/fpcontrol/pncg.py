@@ -57,6 +57,7 @@ class OptimizationTrace:
     converged: bool = False
     line_search_failed: bool = False
     iterations: int = 0
+    backtracks: int = 0  # over the accepted Armijo searches
 
 
 def _stack(g: ControlGradient) -> np.ndarray:
@@ -199,8 +200,8 @@ def pncg(u0: ControlSchedule, problem, cfg: PncgConfig | None = None):
         if _inner(times, g_raw_v, d) >= 0.0:
             d = -g_raw_v
         try:
-            alpha, u_next, j_next, _ = armijo_step(u, d, g_raw_v, problem.objective,
-                                                   j_curr, cfg)
+            alpha, u_next, j_next, used = armijo_step(u, d, g_raw_v, problem.objective,
+                                                      j_curr, cfg)
         except LineSearchError:
             if np.array_equal(d, -g_raw_v):
                 trace.line_search_failed = True
@@ -209,12 +210,13 @@ def pncg(u0: ControlSchedule, problem, cfg: PncgConfig | None = None):
             # smoothed/conjugate direction stalled: restart raw
             d = -g_raw_v
             try:
-                alpha, u_next, j_next, _ = armijo_step(u, d, g_raw_v, problem.objective,
-                                                       j_curr, cfg)
+                alpha, u_next, j_next, used = armijo_step(u, d, g_raw_v, problem.objective,
+                                                          j_curr, cfg)
             except LineSearchError:
                 trace.line_search_failed = True
                 trace.iterations = k + 1
                 return u, trace
+        trace.backtracks += used
 
         step_norm = _norm(times, np.concatenate([u_next.u1 - u.u1, u_next.u2 - u.u2]))
 

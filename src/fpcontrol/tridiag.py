@@ -1,18 +1,20 @@
-"""Batched tridiagonal (Thomas) solves along the last array axis.
+"""Batched tridiagonal (Thomas) solves along the first array axis.
 
-The three bands share one shape (..., n): ``lower[..., i]`` multiplies
-x[..., i-1] (entry 0 unused) and ``upper[..., i]`` multiplies
-x[..., i+1] (entry n-1 unused). Leading axes are independent systems
-solved in one vectorized sweep. The bands' leading axes need only
-broadcast against the right-hand side's: a band axis of size 1 serves
-every line along it, so the pivots and elimination factors of lines
-with equal coefficients are computed once.
+The three bands share one shape (n, ...), solve axis first, so each
+stage ``i`` is the contiguous block ``[i]``: ``lower[i]`` multiplies
+x[i-1] (entry 0 unused) and ``upper[i]`` multiplies x[i+1] (entry n-1
+unused). Trailing axes are independent systems solved in one vectorized
+sweep. The bands' trailing axes need only broadcast against the
+right-hand side's: a band axis of size 1 serves every line along it, so
+the pivots and elimination factors of lines with equal coefficients are
+computed once.
 
 ``thomas_factor`` stores the elimination A = L U: the pivots on the
 diagonal of L, ``lower`` below it, and ``cp`` above the unit diagonal
-of U, pivots and ``cp`` stage-major (n, ...) so each stage is
-contiguous. ``thomas_factored_solve`` reuses them for A x = b and,
-since A^T = U^T L^T, for A^T x = b with no second factorization.
+of U. ``thomas_factored_solve`` reuses them for A x = b and, since
+A^T = U^T L^T, for A^T x = b with no second factorization. A solve
+copies the right-hand side once into a C-ordered buffer and sweeps it
+in place, so the caller's array is never written.
 """
 
 from __future__ import annotations
@@ -53,21 +55,20 @@ def thomas_factor(lower, diag, upper, lines: tuple[int, ...] = ()) -> ThomasFact
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    n = diag.shape[-1]
+    n = diag.shape[0]
     if n < 1:
         raise ValueError("empty system")
 
-    # stage-major storage: each stage's pivots and factors are contiguous
-    pivot = np.empty((n,) + diag.shape[:-1])
-    cp = np.empty_like(pivot)
+    pivot = np.empty(diag.shape)
+    cp = np.empty(diag.shape)
     # a vanishing pivot turns the rest of its line into inf/NaN; the
     # check below reports the first one, so the warnings say nothing
     with np.errstate(divide="ignore", invalid="ignore"):
-        pivot[0] = diag[..., 0]
-        cp[0] = upper[..., 0] / pivot[0]
+        pivot[0] = diag[0]
+        cp[0] = upper[0] / pivot[0]
         for i in range(1, n):
-            pivot[i] = diag[..., i] - lower[..., i] * cp[i - 1]
-            cp[i] = upper[..., i] / pivot[i]
+            pivot[i] = diag[i] - lower[i] * cp[i - 1]
+            cp[i] = upper[i] / pivot[i]
     _check_pivots(pivot, lines)
     return ThomasFactors(lower, pivot, cp)
 
@@ -75,43 +76,39 @@ def thomas_factor(lower, diag, upper, lines: tuple[int, ...] = ()) -> ThomasFact
 def thomas_factored_solve(factors: ThomasFactors, rhs, transposed: bool = False) -> np.ndarray:
     """Solve A x = rhs, or A^T x = rhs, with the factors of A."""
     lower, pivot, cp = factors
-    rhs = np.asarray(rhs, dtype=float)
+    x = np.array(rhs, dtype=float, order="C")  # always a copy: the sweep writes it
     n = pivot.shape[0]
-    dp = np.empty_like(rhs)
-    x = np.empty_like(rhs)
     if transposed:
         # U^T y = rhs (unit lower), then L^T x = y (upper, pivots on the diagonal)
-        dp[..., 0] = rhs[..., 0]
         for i in range(1, n):
-            dp[..., i] = rhs[..., i] - cp[i - 1] * dp[..., i - 1]
-        x[..., n - 1] = dp[..., n - 1] / pivot[n - 1]
+            x[i] -= cp[i - 1] * x[i - 1]
+        x[n - 1] /= pivot[n - 1]
         for i in range(n - 2, -1, -1):
-            x[..., i] = (dp[..., i] - lower[..., i + 1] * x[..., i + 1]) / pivot[i]
+            x[i] -= lower[i + 1] * x[i + 1]
+            x[i] /= pivot[i]
         return x
 
-    dp[..., 0] = rhs[..., 0] / pivot[0]
+    x[0] /= pivot[0]
     for i in range(1, n):
-        dp[..., i] = (rhs[..., i] - lower[..., i] * dp[..., i - 1]) / pivot[i]
-    x[..., n - 1] = dp[..., n - 1]
+        x[i] -= lower[i] * x[i - 1]
+        x[i] /= pivot[i]
     for i in range(n - 2, -1, -1):
-        x[..., i] = dp[..., i] - cp[i] * x[..., i + 1]
+        x[i] -= cp[i] * x[i + 1]
     return x
 
 
 def thomas_solve(lower, diag, upper, rhs) -> np.ndarray:
     """Factor and solve the batched systems in one call."""
-    rhs = np.asarray(rhs, dtype=float)
-    return thomas_factored_solve(thomas_factor(lower, diag, upper, rhs.shape[:-1]), rhs)
+    return thomas_factored_solve(thomas_factor(lower, diag, upper, np.shape(rhs)[1:]), rhs)
 
 
 def _check_pivots(pivot, lines: tuple[int, ...]) -> None:
     """Raise at the first stage with a vanishing pivot, naming its first line.
 
-    ``pivot`` is stage-major, (n, ...). Lines broken at an earlier stage
-    carry inf/NaN pivots afterwards, which do not count as vanishing.
-    Broadcast bands are expanded to the right-hand side's batch shape
-    ``lines`` (on the failure path only) so the reported index counts
-    the solved lines.
+    Lines broken at an earlier stage carry inf/NaN pivots afterwards,
+    which do not count as vanishing. Broadcast bands are expanded to the
+    right-hand side's batch shape ``lines`` (on the failure path only)
+    so the reported index counts the solved lines in C order.
     """
     bad = np.abs(pivot) < _PIVOT_FLOOR
     if not np.any(bad):

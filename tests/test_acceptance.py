@@ -117,8 +117,8 @@ class TestAcceptance:
         v0, m0 = 0.16, (2.6, 3.5)
         errors = []
         for n, nt in ((17, 10), (33, 20), (65, 40)):
-            ax1, x1, h = make_ou_axis(n, 0.0, 6.0, theta, 3.0, sigma)
-            ax2, x2, _ = make_ou_axis(n, 0.0, 6.0, theta, 3.0, sigma)
+            ax1, x1, h = make_ou_axis(n, 0.0, 6.0, theta, 3.0, sigma, ndim=2)
+            ax2, x2, _ = make_ou_axis(n, 0.0, 6.0, theta, 3.0, sigma, ndim=2)
             stepper = DgStepper([ax1, ax2], (n, n))
             w = np.full(n, h)
             w[0] = w[-1] = h / 2

@@ -77,21 +77,23 @@ class TestCcWeight:
         assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
 
 
-def make_ou_axis(n, lo, hi, theta, center, sigma):
+def make_ou_axis(n, lo, hi, theta, center, sigma, ndim=1):
+    # face data of one axis of an ndim-axis stepper: (n-1, 1, ..., 1)
     x = np.linspace(lo, hi, n)
     h = x[1] - x[0]
     xf = 0.5 * (x[:-1] + x[1:])
+    column = (n - 1,) + (1,) * (ndim - 1)
     return AxisDiscretization(
         n=n, h=h,
-        dface=np.full(n - 1, 0.5 * sigma**2),
-        f0_face=-theta * (xf - center),
-        g1_face=np.zeros(n - 1),
-        g2_face=np.zeros(n - 1),
+        dface=np.full(column, 0.5 * sigma**2),
+        f0_face=(-theta * (xf - center)).reshape(column),
+        g1_face=np.zeros(column),
+        g2_face=np.zeros(column),
     ), x, h
 
 
-def make_diffusion_axis(n, lo, hi, sigma):
-    return make_ou_axis(n, lo, hi, 0.0, 0.0, sigma)
+def make_diffusion_axis(n, lo, hi, sigma, ndim=1):
+    return make_ou_axis(n, lo, hi, 0.0, 0.0, sigma, ndim)
 
 
 def gauss(x, m, v):
@@ -165,12 +167,18 @@ class TestDgStep:
             f = stepper.step(f, u, 0.01)
             assert f.min() >= 0.0
 
+    def test_rejects_face_data_of_another_rank(self):
+        # 1D face data in a 2D stepper would broadcast along the wrong axis
+        ax, _, _ = make_diffusion_axis(9, 0.0, 6.0, 0.4)
+        with pytest.raises(ValueError, match="2 dimensions"):
+            DgStepper([ax, ax], (9, 9))
+
     def test_heat_kernel_variance_growth(self):
         # free diffusion: marginal variance grows by sigma^2 dt per step
         sigma, dt = 0.4, 0.01
         n = 65
-        ax1, x1, h = make_diffusion_axis(n, 0.0, 6.0, sigma)
-        ax2, x2, _ = make_diffusion_axis(n, 0.0, 6.0, sigma)
+        ax1, x1, h = make_diffusion_axis(n, 0.0, 6.0, sigma, ndim=2)
+        ax2, x2, _ = make_diffusion_axis(n, 0.0, 6.0, sigma, ndim=2)
         stepper = DgStepper([ax1, ax2], (n, n))
         w = np.full(n, h)
         w[0] = w[-1] = h / 2
@@ -192,8 +200,8 @@ class TestDgStep:
     def test_ou_transient_matches_exact_gaussian(self):
         theta, sigma = 1.0, 0.5
         n, nt, t_end = 65, 40, 1.0
-        ax1, x1, h = make_ou_axis(n, 0.0, 6.0, theta, 3.0, sigma)
-        ax2, x2, _ = make_ou_axis(n, 0.0, 6.0, theta, 3.0, sigma)
+        ax1, x1, h = make_ou_axis(n, 0.0, 6.0, theta, 3.0, sigma, ndim=2)
+        ax2, x2, _ = make_ou_axis(n, 0.0, 6.0, theta, 3.0, sigma, ndim=2)
         stepper = DgStepper([ax1, ax2], (n, n))
         w = np.full(n, h)
         w[0] = w[-1] = h / 2
@@ -330,8 +338,8 @@ class TestConvergenceOrder:
         v0, m0 = 0.16, (2.6, 3.5)
         errors = []
         for n, nt in ((17, 10), (33, 20), (65, 40)):
-            ax1, x1, h = make_ou_axis(n, 0.0, 6.0, theta, 3.0, sigma)
-            ax2, x2, _ = make_ou_axis(n, 0.0, 6.0, theta, 3.0, sigma)
+            ax1, x1, h = make_ou_axis(n, 0.0, 6.0, theta, 3.0, sigma, ndim=2)
+            ax2, x2, _ = make_ou_axis(n, 0.0, 6.0, theta, 3.0, sigma, ndim=2)
             stepper = DgStepper([ax1, ax2], (n, n))
             w = np.full(n, h)
             w[0] = w[-1] = h / 2

@@ -109,6 +109,35 @@ class TestSolveCount:
         assert len(builds) == 1
         assert len(solved) == len(set(solved))
 
+    def test_report_counts_match_counted_calls(self, tmp_path, monkeypatch):
+        import fpcontrol.pipeline as pipeline
+        import fpcontrol.pncg as pncg_module
+
+        counts = dict(forward_solves=0, backward_sweeps=0, objective_evals=0,
+                      armijo_backtracks=0)
+
+        def counting(key, fn, tally=lambda out: 1):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                counts[key] += tally(out)
+                return out
+            return wrapped
+
+        monkeypatch.setattr(pipeline, "solve_forward",
+                            counting("forward_solves", pipeline.solve_forward))
+        monkeypatch.setattr(pipeline, "adjoint_gradient",
+                            counting("backward_sweeps", pipeline.adjoint_gradient))
+        monkeypatch.setattr(pipeline.FpControlProblem, "objective",
+                            counting("objective_evals", pipeline.FpControlProblem.objective))
+        monkeypatch.setattr(pncg_module, "armijo_step",
+                            counting("armijo_backtracks", pncg_module.armijo_step,
+                                     lambda out: out[3]))
+        report = run_pipeline(load_scenario(scenario_path("demo_small")), tmp_path)
+        blob = json.loads((tmp_path / "report.json").read_text())
+        assert counts["objective_evals"] > 0 and counts["backward_sweeps"] > 0
+        for key, value in counts.items():
+            assert getattr(report, key) == blob[key] == value, key
+
 
 class TestAuxiliaryPipelines:
     def test_forward_emits_density_and_marginals(self, tmp_path):

@@ -170,6 +170,23 @@ class TestPncg:
         for visited in prob.evaluated:
             assert visited.is_admissible(tol=1e-12)
 
+    def test_trace_counts_the_accepted_backtracks(self, monkeypatch):
+        import fpcontrol.pncg as pncg_module
+
+        used = []
+
+        def recording(*args, **kwargs):
+            out = armijo_step(*args, **kwargs)
+            used.append(out[3])
+            return out
+
+        monkeypatch.setattr(pncg_module, "armijo_step", recording)
+        prob, t, z1, z2 = make_quadratic(seed=12)
+        u0 = ControlSchedule.zeros(10.0, 20, 7.0, 0.072)
+        _, trace = pncg(u0, prob, PncgConfig(tol=1e-8, k_max=10, armijo_alpha0=8.0))
+        assert sum(used) > 0
+        assert trace.backtracks == sum(used)
+
     def test_restart_uses_steepest_descent_exactly(self):
         # constant gradient field: y = 0 every iteration, so the guard
         # fires and the direction must equal the negated gradient
