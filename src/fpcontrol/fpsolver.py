@@ -1,14 +1,15 @@
 """Forward Fokker-Planck solver on a 4D box with no-flux walls.
 
-Space is discretized with exponentially fitted Chang-Cooper face fluxes
+Space is discretized with exponentially fitted Chang-Cooper face fluxes,
+written in their Scharfetter-Gummel form
 
-    H = (sigma^2/2) (f_R - f_L)/h - F_face [delta f_R + (1 - delta) f_L],
+    H = (sigma^2/2)/h [B(w) f_R - B(-w) f_L],    B(w) = w / (e^w - 1),
 
-where the fitting weight delta(w), w = h F / (sigma^2/2), makes the
-discrete flux vanish exactly on local drift-diffusion equilibria. The
-resulting per-axis operators have non-negative off-diagonal entries and
-zero weighted column sums, so the scheme is conservative and generates
-M-matrix implicit systems.
+with the cell Peclet number w = h F / (sigma^2/2) of the face drift F.
+The flux vanishes exactly on local drift-diffusion equilibria. B is
+positive, so the per-axis operators have non-negative off-diagonal
+entries and zero weighted column sums: the scheme is conservative and
+generates M-matrix implicit systems.
 
 Time stepping is the four-step Douglas-Gunn splitting: one explicit
 predictor containing all directional operators, then one implicit
@@ -49,8 +50,8 @@ from .tridiag import (
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "cc_weight",
-    "cc_weight_derivative",
+    "bernoulli",
+    "bernoulli_derivative",
     "AxisDiscretization",
     "DgStepper",
     "build_fp_stepper",
@@ -62,55 +63,35 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Chang-Cooper fitting weight
+# Bernoulli function of the Scharfetter-Gummel flux
 
 
-def cc_weight(w):
-    """Exponential fitting weight delta(w) = 1/w - 1/(e^w - 1).
+def bernoulli(w):
+    """B(w) = w / (e^w - 1), with B(0) = 1 and B -> 0 as e^w overflows."""
+    w = np.asarray(w, dtype=float)
+    with np.errstate(over="ignore"):
+        em1 = np.expm1(w)
+    return np.divide(w, em1, out=np.ones_like(w), where=em1 != 0.0)
 
-    Evaluates the removable singularity at w = 0 as 1/2 via a short
-    series and saturates smoothly to 0 (full left upwinding) or 1 as
-    w -> +/- infinity without overflow. Vectorized; delta in (0, 1) and
-    delta(-w) = 1 - delta(w).
+
+def bernoulli_derivative(w):
+    """B'(w); the dose sensitivities of the bands are g_c B'(w).
+
+    For a = |w| >= 0.2 it uses e^-a (-expm1(-a) - a) / expm1(-a)^2,
+    which cannot overflow, and B'(-a) = -1 - B'(a); below, the Taylor
+    series through w^9, where that form's terms would cancel. Both hold
+    a relative error under 1e-15.
     """
     w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    small = np.abs(w) < 1e-3
-    big_pos = w > 500.0
-    big_neg = w < -500.0
-    mid = ~(small | big_pos | big_neg)
-
-    ws = w[small]
-    out[small] = 0.5 - ws / 12.0 + ws**3 / 720.0
-    wm = w[mid]
-    out[mid] = 1.0 / wm - 1.0 / np.expm1(wm)
-    out[big_pos] = 1.0 / w[big_pos]
-    out[big_neg] = 1.0 + 1.0 / w[big_neg]
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def cc_weight_derivative(w):
-    """d delta / d w; needed when differentiating fluxes in the control.
-
-    Uses the even form -1/w^2 + e^-|w| / expm1(-|w|)^2, which cannot
-    overflow for any finite w. Its two terms cancel as w -> 0, so below
-    |w| = 0.2 the Taylor series through w^8 takes over; both hold a
-    relative error under 1e-13.
-    """
-    w = np.asarray(w, dtype=float)
-    small = np.abs(w) < 0.2
-    wd = np.where(small, 1.0, w)  # keeps the direct form away from w = 0
-    wa = np.abs(wd)
-    inv = 1.0 / wd
+    a = np.abs(w)
+    small = a < 0.2
+    a = np.maximum(a, 0.2)  # keeps the closed form away from a = 0
+    em1 = np.expm1(-a)
+    right = np.exp(-a) * (-em1 - a) / (em1 * em1)
     w2 = w * w
-    series = -1.0 / 12.0 + w2 * (1.0 / 240.0 - w2 * (1.0 / 6048.0
-                                 - w2 * (1.0 / 172800.0 - w2 / 5322240.0)))
-    out = np.where(small, series, np.exp(-wa) / np.expm1(-wa) ** 2 - inv * inv)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    series = -0.5 + w * (1.0 / 6.0 - w2 * (1.0 / 180.0 - w2 * (1.0 / 5040.0
+                         - w2 * (1.0 / 151200.0 - w2 / 4790016.0))))
+    return np.where(small, series, np.where(w < 0.0, -1.0 - right, right))
 
 
 # ---------------------------------------------------------------------------
@@ -188,32 +169,35 @@ class AxisDiscretization:
         return self.f0_face + u1 * self.g1_face + u2 * self.g2_face
 
     def fitted_faces(self, u1: float, u2: float):
-        """Face drift F, its cell Peclet number w and fitting weight delta(w)."""
-        F = self.drift_faces(u1, u2)
-        w = self.h * F / self.dface
-        return F, w, cc_weight(w)
+        """Cell Peclet numbers w and the flux weights B(w), B(-w).
 
-    def bands_from_faces(self, F, delta):
-        a = self.dface / self.h - F * delta
-        b = -self.dface / self.h - F * (1.0 - delta)
-        return _flux_difference_bands(a, b, self.delta_nodes)
+        B is evaluated once, at |w|; B(-|w|) = B(|w|) + |w| gives the
+        other weight, so both are positive.
+        """
+        w = self.h * self.drift_faces(u1, u2) / self.dface
+        b_abs = bernoulli(np.abs(w))
+        return w, b_abs + np.maximum(-w, 0.0), b_abs + np.maximum(w, 0.0)
+
+    def bands_from_faces(self, faces):
+        _, b_right, b_left = faces
+        d = self.dface / self.h
+        return _flux_difference_bands(d * b_right, -d * b_left, self.delta_nodes)
 
     def operator_bands(self, u1: float, u2: float):
-        F, _, delta = self.fitted_faces(u1, u2)
-        return self.bands_from_faces(F, delta)
+        return self.bands_from_faces(self.fitted_faces(u1, u2))
 
     def dose_face_sums(self, faces, terms) -> np.ndarray:
         """Face sums V with g_c . V = sum of weight * <q, C_c x> over ``terms``.
 
-        ``faces`` is (F, w, delta) from ``fitted_faces``; ``terms`` holds
-        (weight, x, q) as axis-first views; C_c = dA/du_c. Channel c's face
-        weights are g_c A on the right node and g_c (-1 - A) on the left,
-        with A = -(delta + F delta'(w) h/D), so its flux through a face is
-        g_c (A (x_R - x_L) - x_L), and <q, C_c x> sums that against
-        q_L/delta_L - q_R/delta_R. V reduces every axis but the first.
+        ``faces`` is (w, B(w), B(-w)) from ``fitted_faces``; ``terms``
+        holds (weight, x, q) as axis-first views; C_c = dA/du_c. Since
+        dw/du_c = h g_c / (sigma^2/2), channel c's face weights are
+        g_c B'(w) on the right node and -g_c B'(-w) = -g_c (1 + B'(w)) on
+        the left, so its flux through a face is g_c (B'(w) (x_R - x_L) - x_L),
+        and <q, C_c x> sums that against q_L/delta_L - q_R/delta_R.
+        V reduces every axis but the first.
         """
-        F, w, delta = faces
-        slope = -(delta + F * cc_weight_derivative(w) * (self.h / self.dface))
+        slope = bernoulli_derivative(faces[0])
         total = None
         for weight, x, qv in terms:
             qd = qv * (weight / self.delta_nodes)
@@ -238,13 +222,8 @@ class AxisDiscretization:
         g = self.g1_face if channel == 1 else self.g2_face
         if np.all(g == 0.0):
             return None
-        F = self.drift_faces(u1, u2)
-        w = self.h * F / self.dface
-        delta = cc_weight(w)
-        ddelta = cc_weight_derivative(w) * (self.h * g / self.dface)
-        da = -g * delta - F * ddelta
-        db = -g * (1.0 - delta) + F * ddelta
-        return _flux_difference_bands(da, db, self.delta_nodes)
+        slope = bernoulli_derivative(self.h * self.drift_faces(u1, u2) / self.dface)
+        return _flux_difference_bands(g * slope, -g * (1.0 + slope), self.delta_nodes)
 
 
 class DgStepper:
@@ -334,7 +313,7 @@ class DgStepper:
         u1, u2 = u
         half = 0.5 * dt
         faces = [ax.fitted_faces(u1, u2) for ax in self.axes]
-        bands = [ax.bands_from_faces(F, delta) for ax, (F, _, delta) in zip(self.axes, faces)]
+        bands = [ax.bands_from_faces(fc) for ax, fc in zip(self.axes, faces)]
         factors = [self._implicit_factor(j, bands[j], half) for j in range(self.ndim)]
 
         af = [self.apply_operator(j, f, bands[j]) for j in range(self.ndim)]

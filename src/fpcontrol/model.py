@@ -316,7 +316,7 @@ def kill_term(T, L, q: NonDimParams):
     Evaluates d * r**l / (kappa + r**l) with r = L / max(T, floor) and
     kappa = 4e-3 * s * ratio_tl**l, written as d / (1 + kappa * r**-l)
     so that large ratios saturate to d and r = 0 yields 0 without
-    overflow. Works elementwise on arrays.
+    overflow. Works elementwise; scalars give a 0-d array.
     """
     T = np.asarray(T, dtype=float)
     L = np.asarray(L, dtype=float)
@@ -324,10 +324,7 @@ def kill_term(T, L, q: NonDimParams):
     ratio = L / np.maximum(T, KILL_T_FLOOR)
     with np.errstate(divide="ignore", over="ignore"):
         inv_pow = np.where(ratio > 0.0, ratio, 1.0) ** (-q.l)
-        out = np.where(ratio > 0.0, q.d / (1.0 + kappa * inv_pow), 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+        return np.where(ratio > 0.0, q.d / (1.0 + kappa * inv_pow), 0.0)
 
 
 def drift(x, u: tuple[float, float], q: NonDimParams):

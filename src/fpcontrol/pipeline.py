@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .adjoint import adjoint_gradient, gradient_check, objective, time_weights
-from .errors import SolverError
+from .errors import ScenarioError, SolverError
 from .fpsolver import (DensityField, ForwardDiagnostics, build_fp_stepper, mean_state,
                        solve_forward)
 from .grid import Grid4D
@@ -299,6 +299,11 @@ def run_forward(scenario: Scenario, out_dir, seed: int | None = None,
 def run_oracle(scenario: Scenario, out_dir, seed: int | None = None,
                checkpoint_every: int = 1) -> dict:
     """Density solver vs Monte Carlo marginal comparison (no treatment)."""
+    # both comparisons, at t_final/2 and t_final, must fall on a step of each grid
+    for key, steps in (("time.n_steps", scenario.n_steps), ("sde.n_steps", scenario.sde_steps)):
+        if steps % 2:
+            raise ScenarioError(f"field {key} must be even for the oracle, which compares "
+                                f"at t_final/2, got {steps}")
     ctx = _prepare(scenario, out_dir, seed)
     out, grid = ctx.out, ctx.grid
     n_steps = ctx.t_grid.size - 1

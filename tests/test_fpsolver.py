@@ -1,3 +1,5 @@
+from importlib import resources
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -8,73 +10,87 @@ from fpcontrol.errors import MassDeviationError, SolverError
 from fpcontrol.fpsolver import (
     AxisDiscretization,
     DgStepper,
+    bernoulli,
+    bernoulli_derivative,
     build_fp_stepper,
-    cc_weight,
-    cc_weight_derivative,
     mean_state,
     solve_forward,
 )
 from fpcontrol.grid import Grid4D
 from fpcontrol.model import ControlSchedule, DispersionSpec
+from fpcontrol.scenario import load_scenario
 from fpcontrol.target import gaussian_on_grid
 
 from conftest import weak_patient, zero_drift_params
 
 
-class TestCcWeight:
-    def test_zero_is_centered(self):
-        assert cc_weight(0.0) == 0.5
+def mp_bernoulli(x):
+    x = mp.mpf(x)
+    return mp.mpf(1) if x == 0 else x / mp.expm1(x)
 
-    def test_unit_value_matches_high_precision(self):
-        with mp.workdps(40):
-            expected = float(1 - 1 / (mp.e - 1))
-        assert cc_weight(1.0) == pytest.approx(expected, rel=1e-14)
+
+def mp_bernoulli_derivative(x):
+    x = mp.mpf(x)
+    if x == 0:
+        return mp.mpf(-0.5)
+    e = mp.expm1(x)
+    return (e - x * mp.exp(x)) / e**2
+
+
+class TestBernoulli:
+    # B(w) = w/(e^w - 1) weights the Scharfetter-Gummel face flux; B'
+    # gives the bands' dose derivatives.
+
+    def test_zero_is_one(self):
+        assert bernoulli(0.0) == 1.0
+        assert bernoulli_derivative(0.0) == -0.5
+
+    def test_value_matches_high_precision(self):
+        mag = np.logspace(-6.0, 1.0, 281)
+        w = np.concatenate([mag, -mag, [0.0]])
+        with mp.workdps(60):
+            ref = [float(mp_bernoulli(x)) for x in w]
+        assert np.allclose(bernoulli(w), ref, rtol=1e-13, atol=0.0)
+
+    def test_derivative_matches_high_precision(self):
+        # spans the switch between the series and the closed form at 0.2
+        mag = np.logspace(-6.0, 1.0, 281)
+        w = np.concatenate([mag, -mag, [0.0]])
+        with mp.workdps(60):
+            ref = [float(mp_bernoulli_derivative(x)) for x in w]
+        assert np.allclose(bernoulli_derivative(w), ref, rtol=1e-13, atol=0.0)
 
     def test_upwind_limits(self):
-        assert cc_weight(1e4) == pytest.approx(0.0, abs=1e-3)
-        assert cc_weight(-1e4) == pytest.approx(1.0, abs=1e-3)
-        assert cc_weight(1e300) == pytest.approx(0.0, abs=1e-12)
-        assert cc_weight(-1e300) == pytest.approx(1.0, abs=1e-12)
+        # e^w overflows past w = 709: B -> 0 upwind and B(-w) -> w
+        with np.errstate(over="raise"):
+            assert bernoulli(1e4) == 0.0
+            assert bernoulli(1e300) == 0.0
+            assert bernoulli(-1e4) == 1e4
+            assert bernoulli(-1e300) == 1e300
 
     @given(w=st.floats(-300.0, 300.0))
     @settings(max_examples=300, deadline=None)
-    def test_symmetry_and_range(self, w):
-        d = cc_weight(w)
-        assert 0.0 < d < 1.0
-        assert d + cc_weight(-w) == pytest.approx(1.0, abs=1e-12)
-
-    def test_continuity_across_series_switch(self):
-        # the small-argument series and the direct formula must agree
-        # where the implementation switches between them
-        for w in (0.9e-3, 1.1e-3, -0.9e-3, -1.1e-3):
-            direct = 1.0 / w - 1.0 / np.expm1(w)
-            assert cc_weight(w) == pytest.approx(direct, abs=1e-12)
+    def test_reflection_identity(self, w):
+        lhs, rhs = float(bernoulli(-w)), float(bernoulli(w)) + w
+        assert lhs > 0.0
+        assert abs(lhs - rhs) <= 1e-14 * (1.0 + abs(w))
 
     @given(w=st.floats(-100.0, 100.0))
     @settings(max_examples=100, deadline=None)
     def test_derivative_matches_finite_difference(self, w):
         step = 1e-6 * max(1.0, abs(w))
-        fd = (cc_weight(w + step) - cc_weight(w - step)) / (2 * step)
-        assert cc_weight_derivative(w) == pytest.approx(fd, rel=1e-4, abs=1e-9)
+        fd = (bernoulli(w + step) - bernoulli(w - step)) / (2 * step)
+        assert bernoulli_derivative(w) == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
     def test_derivative_does_not_overflow_at_large_peclet_numbers(self):
         # |w| reaches 580 at 21^4 and 1039 at 31^4; (e^w - 1)^2 overflows past 355
-        w = np.concatenate([np.linspace(355.0, 500.0, 30), -np.linspace(355.0, 500.0, 30)])
-        with np.errstate(over="raise"):
-            got = cc_weight_derivative(w)
-        with mp.workdps(50):
-            ref = [float(-1 / mp.mpf(x) ** 2 + mp.exp(x) / mp.expm1(x) ** 2) for x in w]
-        assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
-
-    def test_derivative_matches_high_precision_across_series_switch(self):
-        # the direct form's two ~1/w^2 terms cancel for small |w|, so the
-        # series must carry the range where they would lose digits
-        mag = np.logspace(-6.0, 1.0, 281)
+        mag = np.linspace(355.0, 1000.0, 60)
         w = np.concatenate([mag, -mag])
-        got = cc_weight_derivative(w)
-        with mp.workdps(50):
-            ref = [float(-1 / mp.mpf(x) ** 2 + mp.exp(x) / mp.expm1(x) ** 2) for x in w]
-        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+        with np.errstate(over="raise"):
+            got = bernoulli_derivative(w)
+        with mp.workdps(60):
+            ref = [float(mp_bernoulli_derivative(x)) for x in w]
+        assert np.allclose(got, ref, rtol=1e-13, atol=np.finfo(float).tiny)
 
 
 def make_ou_axis(n, lo, hi, theta, center, sigma, ndim=1):
@@ -134,6 +150,48 @@ class TestFaceFlux:
         # the wall-free prefix sums of delta * (A f) rebuild the face fluxes
         flux = np.cumsum(ax.delta_nodes * div)[:-1]
         assert np.max(np.abs(flux)) < 0.02 * h**2 / var * np.max(f)
+
+
+class TestBands:
+    def test_bands_match_chang_cooper_weights(self):
+        # a = D/h - F delta(w), b = -D/h - F (1 - delta(w)), delta(w) =
+        # 1/w - 1/(e^w - 1); h and D are powers of two, so the solver's
+        # w = h F / D is exact and only the band arithmetic is tested
+        mag = np.logspace(-6.0, 3.0, 200)
+        w = np.concatenate([mag, -mag, [0.0]])
+        h, d = 0.5, 0.25
+        column = (w.size, 1)
+        ax = AxisDiscretization(n=w.size + 1, h=h, dface=np.full(column, d),
+                                f0_face=(w * d / h).reshape(column),
+                                g1_face=np.zeros(column), g2_face=np.zeros(column))
+        lo, _, up = ax.operator_bands(0.0, 0.0)
+        a = up[:-1, 0] * ax.delta_nodes[:-1, 0]
+        b = -lo[1:, 0] * ax.delta_nodes[1:, 0]
+        # 1 - w delta(w) cancels about |w|/2.3 digits at large w
+        with mp.workdps(500):
+            dh = mp.mpf(d) / h
+            delta = [mp.mpf(0.5) if x == 0 else 1 / mp.mpf(x) - 1 / mp.expm1(x) for x in w]
+            a_ref = [float(dh - mp.mpf(x) * dh * dl) for x, dl in zip(w, delta)]
+            b_ref = [float(-dh - mp.mpf(x) * dh * (1 - dl)) for x, dl in zip(w, delta)]
+        # entries below the smallest normal float carry no 13 digits
+        tiny = np.finfo(float).tiny
+        assert np.allclose(a, a_ref, rtol=1e-13, atol=tiny)
+        assert np.allclose(b, b_ref, rtol=1e-13, atol=tiny)
+
+    @pytest.mark.parametrize("name", ["conservation_check", "testcase1", "oracle_check"])
+    def test_off_diagonals_are_non_negative(self, name):
+        # the M-matrix sign pattern holds exactly, not only to rounding
+        scenario = load_scenario(str(resources.files("fpcontrol") / "scenarios" / f"{name}.scenario"))
+        stepper = build_fp_stepper(scenario.grid(), scenario.nondim(), scenario.dispersion)
+        rng = np.random.default_rng(5)
+        doses = [(u1, u2) for u1 in (0.0, scenario.d1) for u2 in (0.0, scenario.d2)]
+        doses += [(rng.uniform(0.0, scenario.d1), rng.uniform(0.0, scenario.d2))
+                  for _ in range(4)]
+        for u in doses:
+            for j, ax in enumerate(stepper.axes):
+                lo, _, up = ax.operator_bands(*u)
+                assert np.all(lo[1:] >= 0.0), (u, j)
+                assert np.all(up[:-1] >= 0.0), (u, j)
 
 
 class TestDgStep:

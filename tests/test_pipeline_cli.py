@@ -290,6 +290,22 @@ class TestCli:
         assert (out / "oracle_l1.csv").exists()
         assert (out / "ensemble_summary.csv").exists()
 
+    @pytest.mark.parametrize("line, bad_line, field", [
+        ("  n_steps: 10\n", "  n_steps: 11\n", "time.n_steps"),
+        ("  n_steps: 200\n", "  n_steps: 199\n", "sde.n_steps"),
+    ], ids=["time", "sde"])
+    def test_oracle_with_an_odd_step_count_exits_2(self, tmp_path, capsys, line, bad_line, field):
+        # t_final/2 would fall between two steps: the density grid would be
+        # compared a half step early, the Monte Carlo grid would raise
+        text = Path(scenario_path("demo_small")).read_text()
+        assert text.count(line) == 1
+        bad = tmp_path / "odd.scenario"
+        bad.write_text(text.replace(line, bad_line))
+        out = tmp_path / "or"
+        assert cli_main(["oracle", str(bad), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpointed_solve_matches_full(self, tmp_path):
         out_full = tmp_path / "full"
         out_chk = tmp_path / "chk"
