@@ -60,6 +60,31 @@ class TestBernoulli:
             ref = [float(mp_bernoulli_derivative(x)) for x in w]
         assert np.allclose(bernoulli_derivative(w), ref, rtol=1e-13, atol=0.0)
 
+    def test_unit_value_matches_high_precision(self):
+        w = np.array([1.0, -1.0])
+        with mp.workdps(60):
+            ref = [float(mp_bernoulli(x)) for x in w]
+            dref = [float(mp_bernoulli_derivative(x)) for x in w]
+        assert np.allclose(bernoulli(w), ref, rtol=1e-15, atol=0.0)
+        assert np.allclose(bernoulli_derivative(w), dref, rtol=1e-15, atol=0.0)
+
+    def test_continuity_across_series_switch(self):
+        # B' switches from its series to the closed form at |w| = 0.2; B
+        # has no switch, and is checked where a series once took over
+        # (|w| = 1e-3). Both sides of each point match mpmath, and the
+        # step across it is of rounding size.
+        for fn, mp_fn, s in [(bernoulli_derivative, mp_bernoulli_derivative, 0.2),
+                             (bernoulli, mp_bernoulli, 1e-3)]:
+            for sign in (1.0, -1.0):
+                below = sign * np.nextafter(s, 0.0)
+                above = sign * np.nextafter(s, 1.0)
+                w = np.array([below, sign * s, above])
+                got = fn(w)
+                with mp.workdps(60):
+                    ref = [float(mp_fn(x)) for x in w]
+                assert np.allclose(got, ref, rtol=1e-15, atol=0.0)
+                assert abs(got[2] - got[0]) <= 4 * np.spacing(abs(got[1]))
+
     def test_upwind_limits(self):
         # e^w overflows past w = 709: B -> 0 upwind and B(-w) -> w
         with np.errstate(over="raise"):
