@@ -24,8 +24,13 @@ wall nodes over half cells, which keeps the trapezoidal mass of every
 step conserved to rounding.
 
 Everything along axis j is stored and swept with axis j first: face data
-(n-1, ...), bands (n, ...), and each solve's one contiguous copy of the
-density. A step returns the density in the grid's C order.
+(n-1, ...), bands (n, ...), and each solve's contiguous right-hand side.
+A step returns the density in the grid's C order.
+
+A step allocates nothing but the array it returns. Every full-size
+intermediate lives in work arrays that each stepper and each of its axes
+own: allocated on the first step, overwritten by every later one, and
+so not to be shared across threads.
 """
 
 from __future__ import annotations
@@ -67,7 +72,11 @@ __all__ = [
 
 
 def bernoulli(w):
-    """B(w) = w / (e^w - 1), with B(0) = 1 and B -> 0 as e^w overflows."""
+    """B(w) = w / (e^w - 1), with B(0) = 1 and B -> 0 as e^w overflows.
+
+    ``AxisDiscretization.fitted_faces`` evaluates B(|w|) in place; this
+    form is the reference the tests hold it to, bit for bit.
+    """
     w = np.asarray(w, dtype=float)
     with np.errstate(over="ignore"):
         em1 = np.expm1(w)
@@ -97,39 +106,53 @@ def bernoulli_derivative(w):
 # ---------------------------------------------------------------------------
 # Per-axis discretization and banded operators
 
+_SMALLEST_SUBNORMAL = 5e-324
 
-def _flux_difference_bands(a_face, b_face, delta_nodes):
-    """Assemble (lower, diag, upper) of the flux-difference operator.
 
-    ``a_face``/``b_face`` weight the right/left node in each face flux,
-    shape (n-1, ...); ``delta_nodes`` are the control lengths (h, halved
-    at walls). Boundary faces are absent, which encodes the no-flux
-    closure.
+def _flux_difference_bands(a_face, m_face, delta_nodes, bands):
+    """Write (lower, diag, upper) of the flux-difference operator into ``bands``.
+
+    Each face carries the flux a f_R - m f_L: ``a_face``/``m_face``
+    weight the right/left node, shape (n-1, ...), and are overwritten.
+    ``delta_nodes`` are the control lengths (h, halved at walls).
+    Boundary faces are absent, which encodes the no-flux closure.
     """
-    n = delta_nodes.shape[0]
-    base = np.broadcast_shapes(np.shape(a_face), np.shape(b_face))
-    shape = (n,) + base[1:]
-    lo = np.zeros(shape)
-    di = np.zeros(shape)
-    up = np.zeros(shape)
-    up[:-1] = a_face / delta_nodes[:-1]
-    lo[1:] = -b_face / delta_nodes[1:]
-    di[:-1] += b_face / delta_nodes[:-1]
-    di[1:] -= a_face / delta_nodes[1:]
-    return lo, di, up
-
-
-def _implicit_bands(bands, theta_dt):
-    """Bands of I - theta_dt A from the bands of A."""
     lo, di, up = bands
-    return -theta_dt * lo, 1.0 - theta_dt * di, -theta_dt * up
+    lo[0] = up[-1] = di[-1] = 0.0
+    np.divide(a_face, delta_nodes[:-1], out=up[:-1])
+    np.divide(m_face, delta_nodes[1:], out=lo[1:])
+    np.divide(m_face, delta_nodes[:-1], out=m_face)
+    np.subtract(0.0, m_face, out=di[:-1])  # 0 - x, not -x: no -0.0
+    np.divide(a_face, delta_nodes[1:], out=a_face)
+    np.subtract(di[1:], a_face, out=di[1:])
+    return bands
 
 
-def _band_apply(bands, f):
+def _implicit_bands(bands, theta_dt, out=None):
+    """Bands of I - theta_dt A from the bands of A.
+
+    Written to ``out``, which may be ``bands`` itself; new arrays if None.
+    """
+    if out is None:
+        out = tuple(np.empty_like(b) for b in bands)
     lo, di, up = bands
-    out = di * f
-    out[:-1] += up[:-1] * f[1:]
-    out[1:] += lo[1:] * f[:-1]
+    np.multiply(lo, -theta_dt, out=out[0])
+    np.multiply(di, theta_dt, out=out[1])
+    np.subtract(1.0, out[1], out=out[1])
+    np.multiply(up, -theta_dt, out=out[2])
+    return out
+
+
+def _band_apply(bands, f, out=None, scratch=None):
+    """A f along the first axis; ``out`` and ``scratch`` are new if None."""
+    lo, di, up = bands
+    out = np.multiply(di, f, out=out)
+    if scratch is None:
+        scratch = np.empty_like(out)
+    np.multiply(up[:-1], f[1:], out=scratch[:-1])
+    out[:-1] += scratch[:-1]
+    np.multiply(lo[1:], f[:-1], out=scratch[1:])
+    out[1:] += scratch[1:]
     return out
 
 
@@ -152,6 +175,11 @@ class AxisDiscretization:
     axis' size or 1 where the coefficient does not vary along it. The
     bands built from them, (n, ...), broadcast against the axis-first
     view of the density wherever they meet it.
+
+    The axis owns the arrays its faces and bands are built in: three of
+    the faces' shape and three of the bands', allocated on first use.
+    What ``fitted_faces``, ``bands_from_faces`` and ``operator_bands``
+    return is valid until the axis' next call to one of them.
     """
 
     n: int
@@ -164,6 +192,17 @@ class AxisDiscretization:
     def __post_init__(self):
         self.delta_nodes = np.full((self.n,) + self.dface.shape[1:], self.h)
         self.delta_nodes[0] = self.delta_nodes[-1] = 0.5 * self.h
+        self._work = None
+
+    def _buffers(self):
+        """The face arrays (w and two weights) and the bands (lo, di, up)."""
+        if self._work is None:
+            face = np.broadcast_shapes(self.dface.shape, self.f0_face.shape,
+                                       self.g1_face.shape, self.g2_face.shape)
+            band = (self.n,) + face[1:]
+            self._work = (tuple(np.empty(face) for _ in range(3)),
+                          tuple(np.empty(band) for _ in range(3)))
+        return self._work
 
     def drift_faces(self, u1: float, u2: float) -> np.ndarray:
         return self.f0_face + u1 * self.g1_face + u2 * self.g2_face
@@ -172,16 +211,37 @@ class AxisDiscretization:
         """Cell Peclet numbers w and the flux weights B(w), B(-w).
 
         B is evaluated once, at |w|; B(-|w|) = B(|w|) + |w| gives the
-        other weight, so both are positive.
+        other weight, so both are positive. The values are those of
+        ``h * drift_faces(u1, u2) / dface`` and ``bernoulli``, computed
+        in the axis' face arrays.
         """
-        w = self.h * self.drift_faces(u1, u2) / self.dface
-        b_abs = bernoulli(np.abs(w))
-        return w, b_abs + np.maximum(-w, 0.0), b_abs + np.maximum(w, 0.0)
+        (w, b_right, b_left), bands = self._buffers()
+        np.add(self.f0_face, u1 * self.g1_face, out=w)
+        w += u2 * self.g2_face
+        w *= self.h
+        w /= self.dface
+        # B(|w|) = |w| / expm1(|w|); expm1 returns the smallest subnormal
+        # unchanged, so raising |w| = 0 to it gives B(0) = 1 exactly
+        a = np.abs(w, out=b_right)
+        np.maximum(a, _SMALLEST_SUBNORMAL, out=a)
+        with np.errstate(over="ignore"):
+            np.expm1(a, out=b_left)
+        np.divide(a, b_left, out=a)
+        np.maximum(w, 0.0, out=b_left)
+        np.add(a, b_left, out=b_left)
+        # B + max(-w, 0) as B - min(w, 0), the same bits; the bands are
+        # written last, so until then their memory is scratch
+        low = np.minimum(w, 0.0, out=bands[0][1:])
+        np.subtract(a, low, out=b_right)
+        return w, b_right, b_left
 
     def bands_from_faces(self, faces):
+        """Bands of A from ``fitted_faces``' output, whose weights it overwrites."""
         _, b_right, b_left = faces
         d = self.dface / self.h
-        return _flux_difference_bands(d * b_right, -d * b_left, self.delta_nodes)
+        b_right *= d
+        b_left *= d  # m = d B(-w); the left node's weight is -m
+        return _flux_difference_bands(b_right, b_left, self.delta_nodes, self._buffers()[1])
 
     def operator_bands(self, u1: float, u2: float):
         return self.bands_from_faces(self.fitted_faces(u1, u2))
@@ -189,7 +249,8 @@ class AxisDiscretization:
     def dose_face_sums(self, faces, terms) -> np.ndarray:
         """Face sums V with g_c . V = sum of weight * <q, C_c x> over ``terms``.
 
-        ``faces`` is (w, B(w), B(-w)) from ``fitted_faces``; ``terms``
+        ``faces`` is (w, B(w), B(-w)) from ``fitted_faces``, of which
+        only w is read, so ``bands_from_faces`` may run first; ``terms``
         holds (weight, x, q) as axis-first views; C_c = dA/du_c. Since
         dw/du_c = h g_c / (sigma^2/2), channel c's face weights are
         g_c B'(w) on the right node and -g_c B'(-w) = -g_c (1 + B'(w)) on
@@ -223,7 +284,10 @@ class AxisDiscretization:
         if np.all(g == 0.0):
             return None
         slope = bernoulli_derivative(self.h * self.drift_faces(u1, u2) / self.dface)
-        return _flux_difference_bands(g * slope, -g * (1.0 + slope), self.delta_nodes)
+        a_face, m_face = g * slope, g * (1.0 + slope)
+        shape = (self.n,) + a_face.shape[1:]
+        return _flux_difference_bands(a_face, m_face, self.delta_nodes,
+                                      tuple(np.empty(shape) for _ in range(3)))
 
 
 class DgStepper:
@@ -231,6 +295,13 @@ class DgStepper:
 
     The production path uses four axes on a ``Grid4D``; reduced one- and
     two-axis configurations exist for the test suite only.
+
+    Besides its axes' face and band arrays, a stepper owns d + 2 arrays of
+    the grid's size: A_j f per axis (axis j first, C-ordered, and the
+    right-hand side of correction j), the predictor, and the scratch of
+    the band applications. They are allocated on the first step and
+    written by every step, so a stepper serves one thread at a time;
+    ``step`` returns a fresh array, which callers may keep.
     """
 
     def __init__(self, axes: list[AxisDiscretization], shape: tuple[int, ...]):
@@ -249,6 +320,15 @@ class DgStepper:
         order = range(self.ndim)
         self._to_first = [(j,) + tuple(i for i in order if i != j) for j in order]
         self._from_first = [tuple(perm.index(i) for i in order) for perm in self._to_first]
+        self._work = None
+
+    def _buffers(self):
+        """A_j f buffers (axis j first), the predictor, and apply scratch."""
+        if self._work is None:
+            moved = [tuple(self.shape[i] for i in perm) for perm in self._to_first]
+            self._work = ([np.empty(s) for s in moved], np.empty(self.shape),
+                          np.empty(self.shape))
+        return self._work
 
     def _mv(self, arr, j):
         return arr.transpose(self._to_first[j])
@@ -256,8 +336,9 @@ class DgStepper:
     def _unmv(self, arr, j):
         return arr.transpose(self._from_first[j])
 
-    def apply_operator(self, j: int, f: np.ndarray, bands) -> np.ndarray:
-        return self._unmv(_band_apply(bands, self._mv(f, j)), j)
+    def apply_operator(self, j: int, f: np.ndarray, bands, out=None, scratch=None) -> np.ndarray:
+        """A_j f, in grid axis order; ``out``/``scratch`` are axis-first."""
+        return self._unmv(_band_apply(bands, self._mv(f, j), out, scratch), j)
 
     def apply_operator_transpose(self, j: int, p: np.ndarray, bands) -> np.ndarray:
         return self._unmv(_band_apply_transpose(bands, self._mv(p, j)), j)
@@ -269,17 +350,18 @@ class DgStepper:
             line=exc.line,
         )
 
-    def _implicit_solve(self, j: int, bands, rhs: np.ndarray, theta_dt: float) -> np.ndarray:
+    def _implicit_solve(self, j: int, bands, rhs: np.ndarray, theta_dt: float) -> None:
+        """(I - theta_dt A_j) x = rhs, in place over the bands and the
+        axis-first ``rhs``."""
         try:
-            x = thomas_solve(*_implicit_bands(bands, theta_dt), self._mv(rhs, j))
+            thomas_solve(*_implicit_bands(bands, theta_dt, out=bands), rhs, overwrite=True)
         except TridiagonalBreakdown as exc:
             raise self._breakdown(j, exc) from exc
-        return self._unmv(x, j)
 
     def _implicit_factor(self, j: int, bands, theta_dt: float) -> ThomasFactors:
         lines = self.shape[:j] + self.shape[j + 1:]
         try:
-            return thomas_factor(*_implicit_bands(bands, theta_dt), lines)
+            return thomas_factor(*_implicit_bands(bands, theta_dt), lines, overwrite=True)
         except TridiagonalBreakdown as exc:
             raise self._breakdown(j, exc) from exc
 
@@ -288,17 +370,34 @@ class DgStepper:
         return self._unmv(thomas_factored_solve(factors, self._mv(rhs, j), transposed), j)
 
     def step(self, f: np.ndarray, u: tuple[float, float], dt: float) -> np.ndarray:
-        """Advance one Douglas-Gunn step with coefficients frozen at u."""
+        """Advance one Douglas-Gunn step with coefficients frozen at u.
+
+        Works in the stepper's and its axes' arrays; ``f`` is not written
+        and the result is a new array.
+        """
         u1, u2 = u
+        half = 0.5 * dt
+        af, g, scratch = self._buffers()
         bands = [ax.operator_bands(u1, u2) for ax in self.axes]
-        af = [self.apply_operator(j, f, bands[j]) for j in range(self.ndim)]
-        g = f + dt * sum(af)
         for j in range(self.ndim):
-            rhs = g - 0.5 * dt * af[j]
-            g = self._implicit_solve(j, bands[j], rhs, 0.5 * dt)
-        # C order: the quadratures' sums, so the mass and objective bits,
-        # follow the memory layout of what they integrate
-        return np.ascontiguousarray(g)
+            self.apply_operator(j, f, bands[j], af[j], scratch.reshape(af[j].shape))
+        # g = f + dt * sum(af): sum() starts from 0, and 0 + -0.0 is +0.0
+        np.add(af[0], 0, out=g)
+        for j in range(1, self.ndim):
+            g += self._unmv(af[j], j)
+        g *= dt
+        np.add(f, g, out=g)
+        for j in range(self.ndim):
+            # g - dt/2 A_j f over A_j f, the solve's axis-first buffer
+            rhs = af[j]
+            rhs *= half
+            np.subtract(self._mv(g, j), rhs, out=rhs)
+            self._implicit_solve(j, bands[j], rhs, half)
+            g = self._unmv(rhs, j)
+        # always a copy, never a work array (a one-axis stepper's is already
+        # C-ordered); C order because the quadratures' sums, so the mass and
+        # objective bits, follow the memory layout of what they integrate
+        return np.array(g, order="C")
 
     def step_transpose(self, f: np.ndarray, f_next: np.ndarray, u: tuple[float, float],
                        dt: float, p_next: np.ndarray):
@@ -386,7 +485,7 @@ def build_fp_stepper(grid: Grid4D, q: NonDimParams,
 def mean_state(f: np.ndarray, grid: Grid4D, mass_tol: float = 1e-6) -> np.ndarray:
     """Componentwise expectation of the state under a unit-mass snapshot."""
     mass = grid.integrate(f)
-    if abs(mass - 1.0) > mass_tol:
+    if not abs(mass - 1.0) <= mass_tol:  # a NaN mass fails too
         raise MassDeviationError(
             f"snapshot mass {mass:.3e} deviates from 1 beyond {mass_tol:g}"
         )
@@ -485,10 +584,11 @@ def solve_forward(
     """
     if f0.shape != grid.shape:
         raise ValueError("initial density does not match the grid")
-    if np.any(f0 < 0):
-        raise ValueError("initial density must be non-negative")
+    # comparisons a NaN fails, so it cannot pass as a density
+    if not np.all(f0 >= 0):
+        raise ValueError("initial density must be non-negative and not NaN")
     mass0 = grid.integrate(f0)
-    if abs(mass0 - 1.0) > 1e-8:
+    if not abs(mass0 - 1.0) <= 1e-8:
         raise ValueError(f"initial density mass {mass0:.6e} is not 1")
     if stepper is None:
         stepper = build_fp_stepper(grid, q, disp)

@@ -14,7 +14,9 @@ diagonal of L, ``lower`` below it, and ``cp`` above the unit diagonal
 of U. ``thomas_factored_solve`` reuses them for A x = b and, since
 A^T = U^T L^T, for A^T x = b with no second factorization. A solve
 copies the right-hand side once into a C-ordered buffer and sweeps it
-in place, so the caller's array is never written.
+in place, so the caller's array is never written. With ``overwrite``
+the factors replace ``diag`` and ``upper`` and the sweep runs on the
+right-hand side itself: a caller that owns its arrays allocates nothing.
 """
 
 from __future__ import annotations
@@ -44,13 +46,16 @@ class ThomasFactors(NamedTuple):
     cp: np.ndarray
 
 
-def thomas_factor(lower, diag, upper, lines: tuple[int, ...] = ()) -> ThomasFactors:
+def thomas_factor(lower, diag, upper, lines: tuple[int, ...] = (),
+                  overwrite: bool = False) -> ThomasFactors:
     """Eliminate without pivoting and check every pivot once.
 
     The callers assemble weakly diagonally dominant M-matrix systems, so
     plain elimination is stable; a vanishing pivot is reported instead
     of patched. ``lines`` is the batch shape of the right-hand sides the
-    factors will serve, so a breakdown names a solved line.
+    factors will serve, so a breakdown names a solved line. With
+    ``overwrite`` the pivots are written over ``diag`` and ``cp`` over
+    ``upper``, which must then be writable float arrays of one shape.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
@@ -59,8 +64,7 @@ def thomas_factor(lower, diag, upper, lines: tuple[int, ...] = ()) -> ThomasFact
     if n < 1:
         raise ValueError("empty system")
 
-    pivot = np.empty(diag.shape)
-    cp = np.empty(diag.shape)
+    pivot, cp = (diag, upper) if overwrite else (np.empty(diag.shape), np.empty(diag.shape))
     # a vanishing pivot turns the rest of its line into inf/NaN; the
     # check below reports the first one, so the warnings say nothing
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -73,10 +77,12 @@ def thomas_factor(lower, diag, upper, lines: tuple[int, ...] = ()) -> ThomasFact
     return ThomasFactors(lower, pivot, cp)
 
 
-def thomas_factored_solve(factors: ThomasFactors, rhs, transposed: bool = False) -> np.ndarray:
-    """Solve A x = rhs, or A^T x = rhs, with the factors of A."""
+def thomas_factored_solve(factors: ThomasFactors, rhs, transposed: bool = False,
+                          overwrite: bool = False) -> np.ndarray:
+    """Solve A x = rhs, or A^T x = rhs, with the factors of A, into a
+    C-ordered copy of ``rhs`` or, with ``overwrite``, into ``rhs``."""
     lower, pivot, cp = factors
-    x = np.array(rhs, dtype=float, order="C")  # always a copy: the sweep writes it
+    x = rhs if overwrite else np.array(rhs, dtype=float, order="C")
     n = pivot.shape[0]
     if transposed:
         # U^T y = rhs (unit lower), then L^T x = y (upper, pivots on the diagonal)
@@ -97,9 +103,11 @@ def thomas_factored_solve(factors: ThomasFactors, rhs, transposed: bool = False)
     return x
 
 
-def thomas_solve(lower, diag, upper, rhs) -> np.ndarray:
-    """Factor and solve the batched systems in one call."""
-    return thomas_factored_solve(thomas_factor(lower, diag, upper, np.shape(rhs)[1:]), rhs)
+def thomas_solve(lower, diag, upper, rhs, overwrite: bool = False) -> np.ndarray:
+    """Factor and solve the batched systems in one call; ``overwrite``
+    applies to both."""
+    factors = thomas_factor(lower, diag, upper, np.shape(rhs)[1:], overwrite)
+    return thomas_factored_solve(factors, rhs, overwrite=overwrite)
 
 
 def _check_pivots(pivot, lines: tuple[int, ...]) -> None:
@@ -110,6 +118,10 @@ def _check_pivots(pivot, lines: tuple[int, ...]) -> None:
     right-hand side's batch shape ``lines`` (on the failure path only)
     so the reported index counts the solved lines in C order.
     """
+    # the callers' M-matrix pivots are positive: one reduction clears
+    # them without a temporary of the pivots' size
+    if pivot.min() >= _PIVOT_FLOOR:
+        return
     bad = np.abs(pivot) < _PIVOT_FLOOR
     if not np.any(bad):
         return

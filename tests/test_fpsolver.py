@@ -1,3 +1,4 @@
+import tracemalloc
 from importlib import resources
 
 import mpmath as mp
@@ -203,6 +204,23 @@ class TestBands:
         assert np.allclose(a, a_ref, rtol=1e-13, atol=tiny)
         assert np.allclose(b, b_ref, rtol=1e-13, atol=tiny)
 
+    def test_fitted_faces_match_the_bernoulli_weights(self):
+        # the in-place weights are B(|w|) + max(-w, 0) and B(|w|) +
+        # max(w, 0), bit for bit, from w = 0 and subnormal |w| to past the
+        # overflow of e^|w|
+        mag = np.concatenate([[5e-324, 1e-310], np.logspace(-12.0, 3.0, 60)])
+        w = np.concatenate([mag, -mag, [0.0, -0.0]])
+        column = (w.size, 1)
+        ax = AxisDiscretization(n=w.size + 1, h=1.0, dface=np.ones(column),
+                                f0_face=w.reshape(column),
+                                g1_face=np.zeros(column), g2_face=np.zeros(column))
+        got_w, b_right, b_left = ax.fitted_faces(0.0, 0.0)
+        want_w = ax.h * ax.drift_faces(0.0, 0.0) / ax.dface
+        assert got_w.tobytes() == want_w.tobytes()
+        b_abs = bernoulli(np.abs(want_w))
+        assert b_right.tobytes() == (b_abs + np.maximum(-want_w, 0.0)).tobytes()
+        assert b_left.tobytes() == (b_abs + np.maximum(want_w, 0.0)).tobytes()
+
     @pytest.mark.parametrize("name", ["conservation_check", "testcase1", "oracle_check"])
     def test_off_diagonals_are_non_negative(self, name):
         # the M-matrix sign pattern holds exactly, not only to rounding
@@ -249,6 +267,27 @@ class TestDgStep:
             u = (rng.uniform(0, 7), rng.uniform(0, 0.072))
             f = stepper.step(f, u, 0.01)
             assert f.min() >= 0.0
+
+    def test_later_steps_allocate_only_their_result(self, rng):
+        # the first step allocates the work arrays; every later one only
+        # the array it returns (numpy reports its buffers to tracemalloc).
+        # numpy's ufunc loops buffer up to 8192 elements per operand for a
+        # call; 13^4 keeps those below a snapshot, where 9^4 would not
+        grid = Grid4D.cube(0.0, 6.0, 13)
+        f = gaussian_on_grid(grid, [0.5, 1.0, 1.0, 1.0], 0.2)
+        stepper = build_fp_stepper(grid, weak_patient())
+        tracemalloc.start()
+        try:
+            f = stepper.step(f, (3.0, 0.03), 0.05)
+            for _ in range(3):
+                u = (rng.uniform(0, 7), rng.uniform(0, 0.072))
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                f = stepper.step(f, u, 0.05)
+                _, peak = tracemalloc.get_traced_memory()
+                assert peak - before <= 1.25 * f.nbytes
+        finally:
+            tracemalloc.stop()
 
     def test_rejects_face_data_of_another_rank(self):
         # 1D face data in a 2D stepper would broadcast along the wrong axis
@@ -329,6 +368,13 @@ class TestQuadratureDiagnostics:
         with pytest.raises(MassDeviationError):
             mean_state(np.ones(grid.shape), grid)
 
+    def test_nan_mass_raises(self):
+        grid = Grid4D.cube(0.0, 6.0, 7)
+        f = gaussian_on_grid(grid, [3.0, 3.0, 3.0, 3.0], 0.3)
+        f[3, 3, 3, 3] = np.nan
+        with pytest.raises(MassDeviationError):
+            mean_state(f, grid)
+
 
 class TestSolveForward:
     def test_pure_diffusion_approaches_uniform(self):
@@ -386,6 +432,14 @@ class TestSolveForward:
         f0 = gaussian_on_grid(grid, [1.0, 1.0, 1.0, 1.0], 0.3)
         with pytest.raises(ValueError, match="non-negative"):
             solve_forward(-f0, u, q, grid)
+
+    def test_rejects_nan_in_initial_density(self):
+        grid = Grid4D.cube(0.0, 6.0, 7)
+        u = ControlSchedule.zeros(1.0, 4, 7.0, 0.072)
+        f0 = gaussian_on_grid(grid, [1.0, 1.0, 1.0, 1.0], 0.3)
+        f0[2, 2, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            solve_forward(f0, u, weak_patient(), grid)
 
     def test_rejects_nonuniform_time_grid(self):
         grid = Grid4D.cube(0.0, 6.0, 7)

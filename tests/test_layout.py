@@ -1,5 +1,5 @@
 """The axis-first solver against its moved-last reference, bit for bit,
-and the solver's promise not to write its inputs."""
+and the solver's promise not to write its inputs or what it returned."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,11 @@ from fpcontrol.tridiag import thomas_factor, thomas_factored_solve
 
 from conftest import weak_patient
 from test_adjoint import make_setup, seeded_step_case
+
+
+def same_bits(a, b):
+    # array_equal alone takes -0.0 for +0.0
+    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
 def bands_of(stepper, j, u, full):
@@ -37,7 +42,7 @@ class TestMatchesMovedLastReference:
                                         np.moveaxis(rhs, j, 0), transposed)
             want = ref.thomas_factored_solve(ref.thomas_factor(*ref.moved_last(bands)),
                                              np.moveaxis(rhs, j, -1), transposed)
-            assert np.array_equal(np.moveaxis(got, 0, j), np.moveaxis(want, -1, j)), j
+            assert same_bits(np.moveaxis(got, 0, j), np.moveaxis(want, -1, j)), j
 
     @pytest.mark.parametrize("full", [False, True], ids=["broadcast", "full"])
     def test_band_applications(self, full):
@@ -49,7 +54,7 @@ class TestMatchesMovedLastReference:
                                      (_band_apply_transpose, ref.band_apply_transpose)):
                 got = apply(bands, np.moveaxis(x, j, 0))
                 want = apply_ref(ref.moved_last(bands), np.moveaxis(x, j, -1))
-                assert np.array_equal(np.moveaxis(got, 0, j), np.moveaxis(want, -1, j)), j
+                assert same_bits(np.moveaxis(got, 0, j), np.moveaxis(want, -1, j)), j
 
     def test_step_and_transposed_step(self):
         grid, stepper, u, rng = seeded_step_case(seed=13)
@@ -58,9 +63,9 @@ class TestMatchesMovedLastReference:
         p = rng.normal(size=grid.shape)
         f_next = stepper.step(f, u, dt)
         assert f_next.flags.c_contiguous
-        assert np.array_equal(f_next, ref.step(stepper, f, u, dt))
+        assert same_bits(f_next, ref.step(stepper, f, u, dt))
         mtp, _ = stepper.step_transpose(f, f_next, u, dt, p)
-        assert np.array_equal(mtp, ref.step_transpose(stepper, u, dt, p))
+        assert same_bits(mtp, ref.step_transpose(stepper, u, dt, p))
 
     def test_seeded_forward_history(self):
         grid, stepper, _, rng = seeded_step_case(seed=14)
@@ -72,7 +77,7 @@ class TestMatchesMovedLastReference:
         f = f0
         for m in range(8):
             f = ref.step(stepper, f, u.at_index(m), 0.25)
-            assert np.array_equal(field.snapshot(m + 1), f), m
+            assert same_bits(field.snapshot(m + 1), f), m
 
 
 class TestInputsStayUnchanged:
@@ -96,3 +101,22 @@ class TestInputsStayUnchanged:
                   if field.is_stored(m)}
         adjoint_gradient(field, fstar, u, q, 1.0, 0.01, 0.01, disp=disp)
         assert {m: field.snapshot(m).tobytes() for m in stored} == stored
+
+    def test_history_survives_later_steps(self):
+        # the stepper's work arrays are reused by every step; what a step
+        # returned, and the history stored from it, must not move
+        grid, stepper, u, rng = seeded_step_case(seed=16)
+        f0 = gaussian_on_grid(grid, np.array([0.5, 1.0, 1.0, 1.0]), 0.25)
+        t = np.linspace(0.0, 2.0, 9)
+        sched = ControlSchedule(t, rng.uniform(0.0, 7.0, t.size),
+                                rng.uniform(0.0, 0.072, t.size), 7.0, 0.072)
+        field, _ = solve_forward(f0, sched, weak_patient(), grid, stepper=stepper)
+        snaps = [field.snapshot(m) for m in range(field.n_steps + 1)]
+        before = [a.tobytes() for a in snaps]
+        f = snaps[-1]
+        for m in range(3):
+            f_next = stepper.step(f, u, 0.25)
+            assert not any(np.shares_memory(f_next, a) for a in snaps)
+            stepper.step_transpose(f, f_next, u, 0.25, rng.normal(size=grid.shape))
+            f = f_next
+        assert [a.tobytes() for a in snaps] == before
