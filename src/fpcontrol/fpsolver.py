@@ -30,7 +30,9 @@ A step returns the density in the grid's C order.
 A step allocates nothing but the array it returns. Every full-size
 intermediate lives in work arrays that each stepper and each of its axes
 own: allocated on the first step, overwritten by every later one, and
-so not to be shared across threads.
+so not to be shared across threads. The transposed step replays the
+step's predictor and corrections in the same arrays and reads its stages
+and Thomas factors from them.
 """
 
 from __future__ import annotations
@@ -144,23 +146,17 @@ def _implicit_bands(bands, theta_dt, out=None):
 
 
 def _band_apply(bands, f, out=None, scratch=None):
-    """A f along the first axis; ``out`` and ``scratch`` are new if None."""
-    lo, di, up = bands
+    """Tridiagonal product along the first axis; ``out``/``scratch`` are new
+    if None. ``bands`` is (sub, di, sup): (lo[1:], di, up[:-1]) for A, and
+    the off-diagonals swapped for A^T."""
+    sub, di, sup = bands
     out = np.multiply(di, f, out=out)
     if scratch is None:
         scratch = np.empty_like(out)
-    np.multiply(up[:-1], f[1:], out=scratch[:-1])
+    np.multiply(sup, f[1:], out=scratch[:-1])
     out[:-1] += scratch[:-1]
-    np.multiply(lo[1:], f[:-1], out=scratch[1:])
+    np.multiply(sub, f[:-1], out=scratch[1:])
     out[1:] += scratch[1:]
-    return out
-
-
-def _band_apply_transpose(bands, p):
-    lo, di, up = bands
-    out = di * p
-    out[:-1] += lo[1:] * p[1:]
-    out[1:] += up[:-1] * p[:-1]
     return out
 
 
@@ -298,10 +294,11 @@ class DgStepper:
 
     Besides its axes' face and band arrays, a stepper owns d + 2 arrays of
     the grid's size: A_j f per axis (axis j first, C-ordered, and the
-    right-hand side of correction j), the predictor, and the scratch of
-    the band applications. They are allocated on the first step and
-    written by every step, so a stepper serves one thread at a time;
-    ``step`` returns a fresh array, which callers may keep.
+    right-hand side, then the stage, of correction j), the predictor, and
+    the scratch of the band applications. They are allocated on the first
+    step and written by every ``step`` and ``step_transpose``, so a
+    stepper serves one thread at a time; both return fresh arrays, which
+    callers may keep.
     """
 
     def __init__(self, axes: list[AxisDiscretization], shape: tuple[int, ...]):
@@ -338,47 +335,31 @@ class DgStepper:
 
     def apply_operator(self, j: int, f: np.ndarray, bands, out=None, scratch=None) -> np.ndarray:
         """A_j f, in grid axis order; ``out``/``scratch`` are axis-first."""
-        return self._unmv(_band_apply(bands, self._mv(f, j), out, scratch), j)
+        lo, di, up = bands
+        return self._unmv(_band_apply((lo[1:], di, up[:-1]), self._mv(f, j), out, scratch), j)
 
-    def apply_operator_transpose(self, j: int, p: np.ndarray, bands) -> np.ndarray:
-        return self._unmv(_band_apply_transpose(bands, self._mv(p, j)), j)
-
-    def _breakdown(self, j: int, exc: TridiagonalBreakdown) -> SingularOperatorError:
-        return SingularOperatorError(
-            f"implicit solve broke down on axis {j}, line {exc.line}",
-            axis=j,
-            line=exc.line,
-        )
-
-    def _implicit_solve(self, j: int, bands, rhs: np.ndarray, theta_dt: float) -> None:
-        """(I - theta_dt A_j) x = rhs, in place over the bands and the
-        axis-first ``rhs``."""
+    def _implicit_solve(self, j: int, bands, theta_dt: float, rhs=None) -> None:
+        """Factor I - theta_dt A_j over its bands, which then hold
+        ``ThomasFactors``, and solve it over the axis-first ``rhs`` if given."""
+        lo, di, up = _implicit_bands(bands, theta_dt, out=bands)
         try:
-            thomas_solve(*_implicit_bands(bands, theta_dt, out=bands), rhs, overwrite=True)
+            if rhs is None:
+                thomas_factor(lo, di, up, self.shape[:j] + self.shape[j + 1:], overwrite=True)
+            else:
+                thomas_solve(lo, di, up, rhs, overwrite=True)
         except TridiagonalBreakdown as exc:
-            raise self._breakdown(j, exc) from exc
+            raise SingularOperatorError(f"implicit solve broke down on axis {j}, line {exc.line}",
+                                        axis=j, line=exc.line) from exc
 
-    def _implicit_factor(self, j: int, bands, theta_dt: float) -> ThomasFactors:
-        lines = self.shape[:j] + self.shape[j + 1:]
-        try:
-            return thomas_factor(*_implicit_bands(bands, theta_dt), lines, overwrite=True)
-        except TridiagonalBreakdown as exc:
-            raise self._breakdown(j, exc) from exc
+    def _advance(self, f: np.ndarray, bands, dt: float, corrections: int) -> np.ndarray:
+        """The predictor and the first ``corrections`` corrections of a step.
 
-    def _factored_solve(self, j: int, factors: ThomasFactors, rhs: np.ndarray,
-                        transposed: bool = False) -> np.ndarray:
-        return self._unmv(thomas_factored_solve(factors, self._mv(rhs, j), transposed), j)
-
-    def step(self, f: np.ndarray, u: tuple[float, float], dt: float) -> np.ndarray:
-        """Advance one Douglas-Gunn step with coefficients frozen at u.
-
-        Works in the stepper's and its axes' arrays; ``f`` is not written
-        and the result is a new array.
+        Leaves stage j in A_j f's work buffer (axis j first) and the
+        factors of correction j in ``bands[j]``; returns the last stage
+        computed, in grid axis order, as a view of a work array.
         """
-        u1, u2 = u
         half = 0.5 * dt
         af, g, scratch = self._buffers()
-        bands = [ax.operator_bands(u1, u2) for ax in self.axes]
         for j in range(self.ndim):
             self.apply_operator(j, f, bands[j], af[j], scratch.reshape(af[j].shape))
         # g = f + dt * sum(af): sum() starts from 0, and 0 + -0.0 is +0.0
@@ -387,13 +368,24 @@ class DgStepper:
             g += self._unmv(af[j], j)
         g *= dt
         np.add(f, g, out=g)
-        for j in range(self.ndim):
+        for j in range(corrections):
             # g - dt/2 A_j f over A_j f, the solve's axis-first buffer
             rhs = af[j]
             rhs *= half
             np.subtract(self._mv(g, j), rhs, out=rhs)
-            self._implicit_solve(j, bands[j], rhs, half)
+            self._implicit_solve(j, bands[j], half, rhs)
             g = self._unmv(rhs, j)
+        return g
+
+    def step(self, f: np.ndarray, u: tuple[float, float], dt: float) -> np.ndarray:
+        """Advance one Douglas-Gunn step with coefficients frozen at u.
+
+        Works in the stepper's and its axes' arrays; ``f`` is not written
+        and the result is a new array.
+        """
+        u1, u2 = u
+        bands = [ax.operator_bands(u1, u2) for ax in self.axes]
+        g = self._advance(f, bands, dt, self.ndim)
         # always a copy, never a work array (a one-axis stepper's is already
         # C-ordered); C order because the quadratures' sums, so the mass and
         # objective bits, follow the memory layout of what they integrate
@@ -403,36 +395,36 @@ class DgStepper:
                        dt: float, p_next: np.ndarray):
         """Vector-Jacobian product of the step f -> f_next = M(u) f.
 
-        Rebuilds the step's bands and factors each implicit operator once;
-        the factors serve both the recomputed stages (the last stage is
-        ``f_next`` itself) and the transposed solves, A^T = U^T L^T.
-        Returns M^T p_next and, per dose channel c, the sensitivity
-        <p_next, dM/du_c f>, taken from one face contraction per axis.
+        Replays the step's predictor and corrections in the work arrays,
+        all but the last (that stage is ``f_next``), and factors the last
+        implicit operator too: each axis' bands then hold the factors the
+        transposed solves use, A^T = U^T L^T. A copy of the explicit bands
+        serves the transposed products. Returns M^T p_next and, per dose
+        channel c, the sensitivity <p_next, dM/du_c f>, taken from one
+        face contraction per axis.
         """
         u1, u2 = u
         half = 0.5 * dt
+        last = self.ndim - 1
         faces = [ax.fitted_faces(u1, u2) for ax in self.axes]
         bands = [ax.bands_from_faces(fc) for ax, fc in zip(self.axes, faces)]
-        factors = [self._implicit_factor(j, bands[j], half) for j in range(self.ndim)]
-
-        af = [self.apply_operator(j, f, bands[j]) for j in range(self.ndim)]
-        g = f + dt * sum(af)
-        stages = []
-        for j in range(self.ndim - 1):
-            g = self._factored_solve(j, factors[j], g - half * af[j])
-            stages.append(g)
-        stages.append(f_next)
-        del af
+        explicit = [tuple(b.copy() for b in bj) for bj in bands]
+        self._advance(f, bands, dt, last)
+        self._implicit_solve(last, bands[last], half)
+        af = self._buffers()[0]
+        stages = [self._unmv(af[j], j) for j in range(last)] + [f_next]
 
         q = [None] * self.ndim
         v = p_next
-        for j in range(self.ndim - 1, -1, -1):
-            v = self._factored_solve(j, factors[j], v, transposed=True)
+        for j in range(last, -1, -1):
+            v = self._unmv(thomas_factored_solve(ThomasFactors(*bands[j]), self._mv(v, j),
+                                                 transposed=True), j)
             q[j] = v
         q1 = q[0]
+        # A_j^T: A_j's product with its off-diagonals swapped
         out = q1 + sum(
-            self.apply_operator_transpose(j, dt * q1 - half * q[j], bands[j])
-            for j in range(self.ndim)
+            self._unmv(_band_apply((up[:-1], di, lo[1:]), self._mv(dt * q1 - half * q[j], j)), j)
+            for j, (lo, di, up) in enumerate(explicit)
         )
 
         # predictor: dt <q1, C_j f>; correction j: dt/2 <q_j, C_j (g_j - f)>

@@ -25,7 +25,7 @@ from .fpsolver import (DensityField, ForwardDiagnostics, build_fp_stepper, mean_
                        solve_forward)
 from .grid import Grid4D
 from .io_utils import format_float, write_csv, write_density
-from .model import ControlSchedule, NonDimParams, ScalingConstants
+from .model import ControlSchedule, NonDimParams
 from .ode import Trajectory, integrate
 from .pncg import pncg
 from .scenario import Scenario
@@ -39,8 +39,7 @@ __all__ = ["RunReport", "run_pipeline", "run_forward", "run_oracle",
            "FpControlProblem"]
 
 
-def dimensionalize_controls(u: ControlSchedule, k: ScalingConstants,
-                            chemo_scale: float, il2_scale: float):
+def dimensionalize_controls(u: ControlSchedule, chemo_scale: float, il2_scale: float):
     """Convert solver dose units back to mg/day and IU IL-2/l/day.
 
     The unit scales live in the scenario because the model's dose
@@ -216,8 +215,7 @@ def run_pipeline(scenario: Scenario, out_dir, seed: int | None = None,
 
     mean_untr = _mean_series(field_untr, grid)
     mean_tr = _mean_series(field_tr, grid)
-    u1_dim, u2_dim = dimensionalize_controls(u_star, scenario.scaling,
-                                             scenario.chemo_scale, scenario.il2_scale)
+    u1_dim, u2_dim = dimensionalize_controls(u_star, scenario.chemo_scale, scenario.il2_scale)
     wt = time_weights(u_star.times)
     total_dox = float(np.sum(wt * u1_dim))
     peak_il2 = float(np.max(u2_dim))

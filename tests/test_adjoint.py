@@ -110,11 +110,14 @@ class TestDiscreteAdjoint:
         grid, q, disp, fstar, f0, t_grid = make_setup()
         u = ControlSchedule.constant(t_grid[-1], t_grid.size - 1, 2.0, 0.04, 7.0, 0.072)
         full, _ = solve_forward(f0, u, q, grid, disp=disp)
-        chk, _ = solve_forward(f0, u, q, grid, disp=disp, store_every=4)
         g_full = adjoint_gradient(full, fstar, u, q, 1.0, 0.01, 0.01, disp=disp)
-        g_chk = adjoint_gradient(chk, fstar, u, q, 1.0, 0.01, 0.01, disp=disp)
-        assert np.array_equal(g_full.g1, g_chk.g1)
-        assert np.array_equal(g_full.g2, g_chk.g2)
+        # as with --checkpoint-every: one stepper for the forward solve, the
+        # re-steps and the transposed steps, which all share its work arrays
+        for shared in ({}, {"stepper": build_fp_stepper(grid, q, disp)}):
+            chk, _ = solve_forward(f0, u, q, grid, disp=disp, store_every=4, **shared)
+            g_chk = adjoint_gradient(chk, fstar, u, q, 1.0, 0.01, 0.01, disp=disp, **shared)
+            assert np.array_equal(g_full.g1, g_chk.g1)
+            assert np.array_equal(g_full.g2, g_chk.g2)
 
 
 class TestReducedFaceShapes:

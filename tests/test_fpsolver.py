@@ -289,6 +289,29 @@ class TestDgStep:
         finally:
             tracemalloc.stop()
 
+    def test_later_transposed_steps_replay_in_the_work_arrays(self, rng):
+        # step_transpose replays the stages in the step's work arrays and
+        # factors in its axes' bands; it allocates the explicit bands' copy,
+        # the adjoint stages and the transposed products, 16.2 snapshots on
+        # this grid. Stages rebuilt in arrays of its own read 19.2
+        grid = Grid4D.cube(0.0, 6.0, 13)
+        f = gaussian_on_grid(grid, [0.5, 1.0, 1.0, 1.0], 0.2)
+        p = rng.normal(size=grid.shape)
+        stepper = build_fp_stepper(grid, weak_patient())
+        tracemalloc.start()
+        try:
+            stepper.step_transpose(f, stepper.step(f, (3.0, 0.03), 0.05), (3.0, 0.03), 0.05, p)
+            for _ in range(3):
+                u = (rng.uniform(0, 7), rng.uniform(0, 0.072))
+                f_next = stepper.step(f, u, 0.05)
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                stepper.step_transpose(f, f_next, u, 0.05, p)
+                _, peak = tracemalloc.get_traced_memory()
+                assert peak - before <= 17 * f.nbytes
+        finally:
+            tracemalloc.stop()
+
     def test_rejects_face_data_of_another_rank(self):
         # 1D face data in a 2D stepper would broadcast along the wrong axis
         ax, _, _ = make_diffusion_axis(9, 0.0, 6.0, 0.4)

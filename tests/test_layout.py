@@ -6,7 +6,7 @@ import pytest
 
 import moved_last_reference as ref
 from fpcontrol.adjoint import adjoint_gradient
-from fpcontrol.fpsolver import _band_apply, _band_apply_transpose, _implicit_bands, solve_forward
+from fpcontrol.fpsolver import _band_apply, _implicit_bands, solve_forward
 from fpcontrol.model import ControlSchedule
 from fpcontrol.target import gaussian_on_grid
 from fpcontrol.tridiag import thomas_factor, thomas_factored_solve
@@ -50,9 +50,11 @@ class TestMatchesMovedLastReference:
         for j in range(4):
             bands = bands_of(stepper, j, u, full)
             x = rng.normal(size=grid.shape)
-            for apply, apply_ref in ((_band_apply, ref.band_apply),
-                                     (_band_apply_transpose, ref.band_apply_transpose)):
-                got = apply(bands, np.moveaxis(x, j, 0))
+            lo, di, up = bands
+            # one product for both: A^T swaps A's off-diagonals
+            for sub, sup, apply_ref in ((lo[1:], up[:-1], ref.band_apply),
+                                        (up[:-1], lo[1:], ref.band_apply_transpose)):
+                got = _band_apply((sub, di, sup), np.moveaxis(x, j, 0))
                 want = apply_ref(ref.moved_last(bands), np.moveaxis(x, j, -1))
                 assert same_bits(np.moveaxis(got, 0, j), np.moveaxis(want, -1, j)), j
 

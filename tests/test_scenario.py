@@ -151,13 +151,13 @@ class TestDimensionalizeControls:
     def test_bound_values_map_to_stated_doses(self):
         s = load_scenario(scenario_path("testcase1"))
         u = ControlSchedule.constant(10.0, 4, 7.0, 0.072, 7.0, 0.072)
-        u1_dim, u2_dim = dimensionalize_controls(u, s.scaling, s.chemo_scale, s.il2_scale)
+        u1_dim, u2_dim = dimensionalize_controls(u, s.chemo_scale, s.il2_scale)
         assert np.allclose(u1_dim, 7.0)
         assert np.allclose(u2_dim, 7.2e5)
 
     def test_zero_dose_maps_to_zero(self):
         s = load_scenario(scenario_path("testcase1"))
         u = ControlSchedule.zeros(10.0, 4, 7.0, 0.072)
-        u1_dim, u2_dim = dimensionalize_controls(u, s.scaling, s.chemo_scale, s.il2_scale)
+        u1_dim, u2_dim = dimensionalize_controls(u, s.chemo_scale, s.il2_scale)
         assert np.all(u1_dim == 0.0)
         assert np.all(u2_dim == 0.0)
