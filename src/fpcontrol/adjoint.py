@@ -3,7 +3,7 @@
 The authoritative gradient is the exact discrete adjoint of the
 implemented forward scheme: each Douglas-Gunn step is differentiated
 through its predictor, its implicit corrections, and the dose
-dependence of the Chang-Cooper fluxes (including the fitting weight).
+dependence of the Scharfetter-Gummel weights B(+-w).
 That makes the gradient consistent with the discrete objective to
 rounding, which central finite differences verify.
 """
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fpsolver import DensityField, DgStepper, build_fp_stepper
-from .model import ControlSchedule, DispersionSpec, NonDimParams
+from .fpsolver import DensityField, DgStepper
+from .model import ControlSchedule
 from .target import TargetDensity
 
 __all__ = [
@@ -88,25 +88,22 @@ def adjoint_gradient(
     f: DensityField,
     f_star: TargetDensity,
     u: ControlSchedule,
-    q: NonDimParams,
+    stepper: DgStepper,
     alpha: float,
     nu1: float,
     nu2: float,
-    disp: DispersionSpec | None = None,
-    stepper: DgStepper | None = None,
 ) -> ControlGradient:
     """One backward sweep producing the exact discrete gradient.
 
     Walks the stored forward history from the final time to the start;
     each step's vector-Jacobian product (``DgStepper.step_transpose``)
     applies the transposed propagator to the running adjoint and yields
-    the step's dose sensitivities. Only the running adjoint and two
-    snapshots are held, so large runs stay within memory.
+    the step's dose sensitivities. The sweep holds the running adjoint
+    and two snapshots at a time, but ``f_star`` caches every target
+    snapshot it builds, so memory still grows with the number of steps.
     """
     _check_alignment(f, f_star)
     grid = f.grid
-    if stepper is None:
-        stepper = build_fp_stepper(grid, q, disp)
     times = u.times
     wt = time_weights(times)
     dt = float(times[1] - times[0])

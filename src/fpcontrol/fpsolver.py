@@ -76,7 +76,7 @@ __all__ = [
 def bernoulli(w):
     """B(w) = w / (e^w - 1), with B(0) = 1 and B -> 0 as e^w overflows.
 
-    ``AxisDiscretization.fitted_faces`` evaluates B(|w|) in place; this
+    ``AxisDiscretization.operator_bands`` evaluates B(|w|) in place; this
     form is the reference the tests hold it to, bit for bit.
     """
     w = np.asarray(w, dtype=float)
@@ -130,19 +130,14 @@ def _flux_difference_bands(a_face, m_face, delta_nodes, bands):
     return bands
 
 
-def _implicit_bands(bands, theta_dt, out=None):
-    """Bands of I - theta_dt A from the bands of A.
-
-    Written to ``out``, which may be ``bands`` itself; new arrays if None.
-    """
-    if out is None:
-        out = tuple(np.empty_like(b) for b in bands)
+def _implicit_bands(bands, theta_dt):
+    """Overwrite the bands of A with those of I - theta_dt A."""
     lo, di, up = bands
-    np.multiply(lo, -theta_dt, out=out[0])
-    np.multiply(di, theta_dt, out=out[1])
-    np.subtract(1.0, out[1], out=out[1])
-    np.multiply(up, -theta_dt, out=out[2])
-    return out
+    np.multiply(lo, -theta_dt, out=lo)
+    np.multiply(di, theta_dt, out=di)
+    np.subtract(1.0, di, out=di)
+    np.multiply(up, -theta_dt, out=up)
+    return bands
 
 
 def _band_apply(bands, f, out=None, scratch=None):
@@ -174,8 +169,8 @@ class AxisDiscretization:
 
     The axis owns the arrays its faces and bands are built in: three of
     the faces' shape and three of the bands', allocated on first use.
-    What ``fitted_faces``, ``bands_from_faces`` and ``operator_bands``
-    return is valid until the axis' next call to one of them.
+    What ``operator_bands`` returns is valid until the axis' next call
+    to it.
     """
 
     n: int
@@ -203,13 +198,14 @@ class AxisDiscretization:
     def drift_faces(self, u1: float, u2: float) -> np.ndarray:
         return self.f0_face + u1 * self.g1_face + u2 * self.g2_face
 
-    def fitted_faces(self, u1: float, u2: float):
-        """Cell Peclet numbers w and the flux weights B(w), B(-w).
+    def operator_bands(self, u1: float, u2: float):
+        """Bands of A at the doses (u1, u2), built in the axis' arrays.
 
-        B is evaluated once, at |w|; B(-|w|) = B(|w|) + |w| gives the
-        other weight, so both are positive. The values are those of
-        ``h * drift_faces(u1, u2) / dface`` and ``bernoulli``, computed
-        in the axis' face arrays.
+        The cell Peclet numbers w = ``h * drift_faces(u1, u2) / dface``
+        stay in the first face array, where ``dose_face_sums`` reads
+        them. B is evaluated once, at |w|; B(-|w|) = B(|w|) + |w| gives
+        the other weight, so both are positive and hold the values of
+        ``bernoulli``.
         """
         (w, b_right, b_left), bands = self._buffers()
         np.add(self.f0_face, u1 * self.g1_face, out=w)
@@ -229,24 +225,15 @@ class AxisDiscretization:
         # written last, so until then their memory is scratch
         low = np.minimum(w, 0.0, out=bands[0][1:])
         np.subtract(a, low, out=b_right)
-        return w, b_right, b_left
-
-    def bands_from_faces(self, faces):
-        """Bands of A from ``fitted_faces``' output, whose weights it overwrites."""
-        _, b_right, b_left = faces
         d = self.dface / self.h
         b_right *= d
         b_left *= d  # m = d B(-w); the left node's weight is -m
-        return _flux_difference_bands(b_right, b_left, self.delta_nodes, self._buffers()[1])
+        return _flux_difference_bands(b_right, b_left, self.delta_nodes, bands)
 
-    def operator_bands(self, u1: float, u2: float):
-        return self.bands_from_faces(self.fitted_faces(u1, u2))
-
-    def dose_face_sums(self, faces, terms) -> np.ndarray:
+    def dose_face_sums(self, terms) -> np.ndarray:
         """Face sums V with g_c . V = sum of weight * <q, C_c x> over ``terms``.
 
-        ``faces`` is (w, B(w), B(-w)) from ``fitted_faces``, of which
-        only w is read, so ``bands_from_faces`` may run first; ``terms``
+        w comes from the axis' last ``operator_bands`` call; ``terms``
         holds (weight, x, q) as axis-first views; C_c = dA/du_c. Since
         dw/du_c = h g_c / (sigma^2/2), channel c's face weights are
         g_c B'(w) on the right node and -g_c B'(-w) = -g_c (1 + B'(w)) on
@@ -254,7 +241,7 @@ class AxisDiscretization:
         and <q, C_c x> sums that against q_L/delta_L - q_R/delta_R.
         V reduces every axis but the first.
         """
-        slope = bernoulli_derivative(faces[0])
+        slope = bernoulli_derivative(self._buffers()[0][0])
         total = None
         for weight, x, qv in terms:
             qd = qv * (weight / self.delta_nodes)
@@ -341,7 +328,7 @@ class DgStepper:
     def _implicit_solve(self, j: int, bands, theta_dt: float, rhs=None) -> None:
         """Factor I - theta_dt A_j over its bands, which then hold
         ``ThomasFactors``, and solve it over the axis-first ``rhs`` if given."""
-        lo, di, up = _implicit_bands(bands, theta_dt, out=bands)
+        lo, di, up = _implicit_bands(bands, theta_dt)
         try:
             if rhs is None:
                 thomas_factor(lo, di, up, self.shape[:j] + self.shape[j + 1:], overwrite=True)
@@ -406,8 +393,7 @@ class DgStepper:
         u1, u2 = u
         half = 0.5 * dt
         last = self.ndim - 1
-        faces = [ax.fitted_faces(u1, u2) for ax in self.axes]
-        bands = [ax.bands_from_faces(fc) for ax, fc in zip(self.axes, faces)]
+        bands = [ax.operator_bands(u1, u2) for ax in self.axes]
         explicit = [tuple(b.copy() for b in bj) for bj in bands]
         self._advance(f, bands, dt, last)
         self._implicit_solve(last, bands[last], half)
@@ -432,7 +418,7 @@ class DgStepper:
         for j, ax in enumerate(self.axes):
             if np.all(ax.g1_face == 0.0) and np.all(ax.g2_face == 0.0):
                 continue
-            v_face = ax.dose_face_sums(faces[j], (
+            v_face = ax.dose_face_sums((
                 (dt, self._mv(f, j), self._mv(q1, j)),
                 (half, self._mv(stages[j] - f, j), self._mv(q[j], j))))
             sens += (np.dot(ax.g1_face.ravel(), v_face), np.dot(ax.g2_face.ravel(), v_face))

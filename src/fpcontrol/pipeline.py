@@ -127,8 +127,8 @@ class FpControlProblem:
 
     def gradient(self, u: ControlSchedule):
         self.backward_sweeps += 1
-        return adjoint_gradient(self.forward(u)[0], self.fstar, u, self.q, self.alpha,
-                                self.nu1, self.nu2, disp=self.disp, stepper=self.stepper)
+        return adjoint_gradient(self.forward(u)[0], self.fstar, u, self.stepper, self.alpha,
+                                self.nu1, self.nu2)
 
 
 @dataclass(frozen=True)

@@ -199,23 +199,18 @@ def pncg(u0: ControlSchedule, problem, cfg: PncgConfig | None = None):
             break
         if _inner(times, g_raw_v, d) >= 0.0:
             d = -g_raw_v
-        try:
-            alpha, u_next, j_next, used = armijo_step(u, d, g_raw_v, problem.objective,
-                                                      j_curr, cfg)
-        except LineSearchError:
-            if np.array_equal(d, -g_raw_v):
-                trace.line_search_failed = True
-                trace.iterations = k + 1
-                return u, trace
-            # smoothed/conjugate direction stalled: restart raw
-            d = -g_raw_v
+        while True:
             try:
                 alpha, u_next, j_next, used = armijo_step(u, d, g_raw_v, problem.objective,
                                                           j_curr, cfg)
+                break
             except LineSearchError:
-                trace.line_search_failed = True
-                trace.iterations = k + 1
-                return u, trace
+                if np.array_equal(d, -g_raw_v):
+                    trace.line_search_failed = True
+                    trace.iterations = k + 1
+                    return u, trace
+                # smoothed/conjugate direction stalled: restart raw
+                d = -g_raw_v
         trace.backtracks += used
 
         step_norm = _norm(times, np.concatenate([u_next.u1 - u.u1, u_next.u2 - u.u2]))

@@ -42,8 +42,9 @@ def gaussian_on_grid(grid: Grid4D, center, variance: float) -> np.ndarray:
 class TargetDensity:
     """Anchor snapshots plus lazy per-step interpolation.
 
-    Keeping only the anchors bounds memory on large grids; a solver-step
-    snapshot is one renormalized convex combination away.
+    A solver-step snapshot is one renormalized convex combination of two
+    anchors, built on first use and then cached: once every step has been
+    read, one grid array per step is held besides the anchors.
     """
 
     def __init__(self, grid: Grid4D, times: np.ndarray, anchor_times: np.ndarray,

@@ -74,7 +74,8 @@ def _along(j, fn, arr, *args):
 
 def _bands_and_factors(stepper, u, dt):
     bands = [moved_last(ax.operator_bands(*u)) for ax in stepper.axes]
-    factors = [thomas_factor(*_implicit_bands(b, 0.5 * dt)) for b in bands]
+    factors = [thomas_factor(*_implicit_bands([x.copy() for x in b], 0.5 * dt))
+               for b in bands]
     return bands, factors
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fpcontrol.adjoint import adjoint_gradient, gradient_check, objective
-from fpcontrol.fpsolver import DensityField, build_fp_stepper, solve_forward
+from fpcontrol.fpsolver import AxisDiscretization, DensityField, build_fp_stepper, solve_forward
 from fpcontrol.grid import Grid4D
 from fpcontrol.model import ControlSchedule, DispersionSpec, State
 from fpcontrol.ode import integrate
@@ -68,7 +68,7 @@ class TestDiscreteAdjoint:
         grid, q, disp, fstar, f0, t_grid = make_setup()
         field = field_from_target(grid, fstar, t_grid)
         u = ControlSchedule.constant(t_grid[-1], t_grid.size - 1, 2.0, 0.03, 7.0, 0.072)
-        g = adjoint_gradient(field, fstar, u, q, 1.0, 0.0, 0.0, disp=disp)
+        g = adjoint_gradient(field, fstar, u, build_fp_stepper(grid, q, disp), 1.0, 0.0, 0.0)
         assert np.all(g.g1 == 0.0)
         assert np.all(g.g2 == 0.0)
 
@@ -76,7 +76,7 @@ class TestDiscreteAdjoint:
         grid, q, disp, fstar, f0, t_grid = make_setup()
         u = ControlSchedule.constant(t_grid[-1], t_grid.size - 1, 1.0, 0.02, 7.0, 0.072)
         field, _ = solve_forward(f0, u, q, grid, disp=disp)
-        g = adjoint_gradient(field, fstar, u, q, 0.0, 0.0, 0.0, disp=disp)
+        g = adjoint_gradient(field, fstar, u, build_fp_stepper(grid, q, disp), 0.0, 0.0, 0.0)
         assert np.all(g.g1 == 0.0)
         assert np.all(g.g2 == 0.0)
 
@@ -84,7 +84,7 @@ class TestDiscreteAdjoint:
         grid, q, disp, fstar, f0, t_grid = make_setup()
         u = ControlSchedule.constant(t_grid[-1], t_grid.size - 1, 2.0, 0.03, 7.0, 0.072)
         field, _ = solve_forward(f0, u, q, grid, disp=disp)
-        g = adjoint_gradient(field, fstar, u, q, 0.0, 0.05, 0.7, disp=disp)
+        g = adjoint_gradient(field, fstar, u, build_fp_stepper(grid, q, disp), 0.0, 0.05, 0.7)
         assert np.allclose(g.g1, 0.05 * u.u1, rtol=1e-12)
         assert np.allclose(g.g2, 0.7 * u.u2, rtol=1e-12)
 
@@ -101,8 +101,7 @@ class TestDiscreteAdjoint:
             return objective(fld, fstar, uu, 1.0, 0.01, 0.01)
 
         field, _ = solve_forward(f0, u, q, grid, disp=disp, stepper=stepper)
-        g = adjoint_gradient(field, fstar, u, q, 1.0, 0.01, 0.01, disp=disp,
-                             stepper=stepper)
+        g = adjoint_gradient(field, fstar, u, stepper, 1.0, 0.01, 0.01)
         rows, worst = gradient_check(j_of, g, u, n_directions=5, eps=1e-4, seed=3)
         assert worst <= 1e-3
 
@@ -110,12 +109,16 @@ class TestDiscreteAdjoint:
         grid, q, disp, fstar, f0, t_grid = make_setup()
         u = ControlSchedule.constant(t_grid[-1], t_grid.size - 1, 2.0, 0.04, 7.0, 0.072)
         full, _ = solve_forward(f0, u, q, grid, disp=disp)
-        g_full = adjoint_gradient(full, fstar, u, q, 1.0, 0.01, 0.01, disp=disp)
-        # as with --checkpoint-every: one stepper for the forward solve, the
-        # re-steps and the transposed steps, which all share its work arrays
-        for shared in ({}, {"stepper": build_fp_stepper(grid, q, disp)}):
-            chk, _ = solve_forward(f0, u, q, grid, disp=disp, store_every=4, **shared)
-            g_chk = adjoint_gradient(chk, fstar, u, q, 1.0, 0.01, 0.01, disp=disp, **shared)
+        g_full = adjoint_gradient(full, fstar, u, build_fp_stepper(grid, q, disp),
+                                  1.0, 0.01, 0.01)
+        # forward and backward on separate steppers, then, as with
+        # --checkpoint-every, one stepper for the forward solve, the re-steps
+        # and the transposed steps, which all share its work arrays
+        shared = build_fp_stepper(grid, q, disp)
+        for forward, backward in ((build_fp_stepper(grid, q, disp),
+                                   build_fp_stepper(grid, q, disp)), (shared, shared)):
+            chk, _ = solve_forward(f0, u, q, grid, disp=disp, store_every=4, stepper=forward)
+            g_chk = adjoint_gradient(chk, fstar, u, backward, 1.0, 0.01, 0.01)
             assert np.array_equal(g_full.g1, g_chk.g1)
             assert np.array_equal(g_full.g2, g_chk.g2)
 
@@ -151,8 +154,7 @@ class TestReducedFaceShapes:
             g = stepper.step(f0, u.at_index(3), dt)
             mtp, sens = stepper.step_transpose(f0, g, u.at_index(3), dt, p)
             field, _ = solve_forward(f0, u, q, grid, disp=disp, stepper=stepper)
-            grad = adjoint_gradient(field, fstar, u, q, 1.0, 0.01, 0.01, disp=disp,
-                                    stepper=stepper)
+            grad = adjoint_gradient(field, fstar, u, stepper, 1.0, 0.01, 0.01)
             runs.append([g, mtp, np.array(sens), field.snapshot(field.n_steps),
                          grad.g1, grad.g2])
         for a, b in zip(*runs):
@@ -182,13 +184,28 @@ class TestStepTranspose:
         lhs, rhs = float(np.sum(mx * p)), float(np.sum(x * mtp))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
+    def test_step_and_transposed_step_share_one_band_assembly(self, monkeypatch):
+        grid, stepper, u, rng = seeded_step_case(seed=12)
+        calls = []
+        assemble = AxisDiscretization.operator_bands
+
+        def counting(ax, u1, u2):
+            calls.append(ax)
+            return assemble(ax, u1, u2)
+
+        monkeypatch.setattr(AxisDiscretization, "operator_bands", counting)
+        f = rng.normal(size=grid.shape)
+        f_next = stepper.step(f, u, 0.25)
+        stepper.step_transpose(f, f_next, u, 0.25, rng.normal(size=grid.shape))
+        assert [id(ax) for ax in calls] == [id(ax) for ax in stepper.axes * 2]
+
     def test_face_sums_match_the_control_bands(self):
         grid, stepper, (u1, u2), rng = seeded_step_case(seed=9)
         x = rng.normal(size=grid.shape)
         qv = rng.normal(size=grid.shape)
         for j, ax in enumerate(stepper.axes):
-            v = ax.dose_face_sums(ax.fitted_faces(u1, u2),
-                                  ((1.0, np.moveaxis(x, j, 0), np.moveaxis(qv, j, 0)),))
+            ax.operator_bands(u1, u2)
+            v = ax.dose_face_sums(((1.0, np.moveaxis(x, j, 0), np.moveaxis(qv, j, 0)),))
             for channel, g in ((1, ax.g1_face), (2, ax.g2_face)):
                 cbands = ax.control_bands(u1, u2, channel)
                 if cbands is None:

@@ -207,19 +207,22 @@ class TestBands:
     def test_fitted_faces_match_the_bernoulli_weights(self):
         # the in-place weights are B(|w|) + max(-w, 0) and B(|w|) +
         # max(w, 0), bit for bit, from w = 0 and subnormal |w| to past the
-        # overflow of e^|w|
+        # overflow of e^|w|; with h = D = 1 and control lengths of 1 or
+        # 1/2, the bands times those lengths are the weights exactly
         mag = np.concatenate([[5e-324, 1e-310], np.logspace(-12.0, 3.0, 60)])
         w = np.concatenate([mag, -mag, [0.0, -0.0]])
         column = (w.size, 1)
         ax = AxisDiscretization(n=w.size + 1, h=1.0, dface=np.ones(column),
                                 f0_face=w.reshape(column),
                                 g1_face=np.zeros(column), g2_face=np.zeros(column))
-        got_w, b_right, b_left = ax.fitted_faces(0.0, 0.0)
+        lo, _, up = ax.operator_bands(0.0, 0.0)
         want_w = ax.h * ax.drift_faces(0.0, 0.0) / ax.dface
-        assert got_w.tobytes() == want_w.tobytes()
+        # w stays in the axis' first face array, where dose_face_sums reads it
+        assert ax._buffers()[0][0].tobytes() == want_w.tobytes()
         b_abs = bernoulli(np.abs(want_w))
-        assert b_right.tobytes() == (b_abs + np.maximum(-want_w, 0.0)).tobytes()
-        assert b_left.tobytes() == (b_abs + np.maximum(want_w, 0.0)).tobytes()
+        delta = ax.delta_nodes
+        assert (up[:-1] * delta[:-1]).tobytes() == (b_abs + np.maximum(-want_w, 0.0)).tobytes()
+        assert (lo[1:] * delta[1:]).tobytes() == (b_abs + np.maximum(want_w, 0.0)).tobytes()
 
     @pytest.mark.parametrize("name", ["conservation_check", "testcase1", "oracle_check"])
     def test_off_diagonals_are_non_negative(self, name):

@@ -6,7 +6,7 @@ import pytest
 
 import moved_last_reference as ref
 from fpcontrol.adjoint import adjoint_gradient
-from fpcontrol.fpsolver import _band_apply, _implicit_bands, solve_forward
+from fpcontrol.fpsolver import _band_apply, _implicit_bands, build_fp_stepper, solve_forward
 from fpcontrol.model import ControlSchedule
 from fpcontrol.target import gaussian_on_grid
 from fpcontrol.tridiag import thomas_factor, thomas_factored_solve
@@ -22,7 +22,7 @@ def same_bits(a, b):
 
 def bands_of(stepper, j, u, full):
     """Implicit bands of axis j, reduced or expanded to the full grid."""
-    bands = _implicit_bands(stepper.axes[j].operator_bands(*u), 0.125)
+    bands = _implicit_bands([b.copy() for b in stepper.axes[j].operator_bands(*u)], 0.125)
     if full:
         shape = (stepper.shape[j],) + stepper.shape[:j] + stepper.shape[j + 1:]
         bands = tuple(np.broadcast_to(b, shape) for b in bands)
@@ -101,7 +101,7 @@ class TestInputsStayUnchanged:
         field, _ = solve_forward(f0, u, q, grid, disp=disp, store_every=store_every)
         stored = {m: field.snapshot(m).tobytes() for m in range(field.n_steps + 1)
                   if field.is_stored(m)}
-        adjoint_gradient(field, fstar, u, q, 1.0, 0.01, 0.01, disp=disp)
+        adjoint_gradient(field, fstar, u, build_fp_stepper(grid, q, disp), 1.0, 0.01, 0.01)
         assert {m: field.snapshot(m).tobytes() for m in stored} == stored
 
     def test_history_survives_later_steps(self):
