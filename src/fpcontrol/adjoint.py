@@ -98,9 +98,10 @@ def adjoint_gradient(
     Walks the stored forward history from the final time to the start;
     each step's vector-Jacobian product (``DgStepper.step_transpose``)
     applies the transposed propagator to the running adjoint and yields
-    the step's dose sensitivities. The sweep holds the running adjoint
-    and two snapshots at a time, but ``f_star`` caches every target
-    snapshot it builds, so memory still grows with the number of steps.
+    the step's dose sensitivities. Besides the stored history, the sweep
+    holds the running adjoint, two density snapshots and one target
+    snapshot at a time; ``f_star`` forms each target on demand and keeps
+    none of them.
     """
     _check_alignment(f, f_star)
     grid = f.grid

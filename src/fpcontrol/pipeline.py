@@ -88,11 +88,13 @@ class FpControlProblem:
     """Objective/gradient bundle the optimizer consumes.
 
     Each gradient call runs one forward solve and one fused backward
-    sweep; objectives reuse a tiny forward cache keyed by the schedule's
-    bytes so the Armijo loop does not recompute accepted iterates.
-    ``forward`` also supplies the untreated and treated fields. The
-    counters tally the forward solves (cache misses), backward sweeps
-    and objective evaluations of the problem's lifetime.
+    sweep; objectives reuse a one-entry forward cache keyed by the
+    schedule's bytes so the Armijo loop does not recompute accepted
+    iterates. The cache is dropped before a new solve starts, so the
+    problem holds at most one density history at a time. ``forward``
+    also supplies the untreated and treated fields. The counters tally
+    the forward solves (cache misses), backward sweeps and objective
+    evaluations of the problem's lifetime.
     """
 
     def __init__(self, f0, fstar: TargetDensity, q, grid: Grid4D, disp,
@@ -115,6 +117,7 @@ class FpControlProblem:
         """Density history and diagnostics at u; a repeat call at u reuses the solve."""
         key = (u.u1.tobytes(), u.u2.tobytes())
         if key != self._cache_key:
+            self._cache_key = self._cache = None
             self.forward_solves += 1
             self._cache = solve_forward(self.f0, u, self.q, self.grid, disp=self.disp,
                                         store_every=self.store_every, stepper=self.stepper)
@@ -203,6 +206,11 @@ def run_pipeline(scenario: Scenario, out_dir, seed: int | None = None,
         field_untr, diag_untr = problem.forward(ctx.u_zero)
     except SolverError as exc:
         raise SolverError(f"untreated forward solve failed: {exc}") from exc
+    # Reduce the untreated history to its rows now, so only the problem's
+    # cache can keep it alive during the optimization.
+    mean_untr = _mean_series(field_untr, grid)
+    diag_rows_untr = _diag_rows(field_untr, diag_untr)
+    del field_untr
 
     log.info("stage: optimization")
     u_star, trace = pncg(ctx.u_zero, problem, scenario.optimizer)
@@ -213,7 +221,6 @@ def run_pipeline(scenario: Scenario, out_dir, seed: int | None = None,
     except SolverError as exc:
         raise SolverError(f"treated forward solve failed: {exc}") from exc
 
-    mean_untr = _mean_series(field_untr, grid)
     mean_tr = _mean_series(field_tr, grid)
     u1_dim, u2_dim = dimensionalize_controls(u_star, scenario.chemo_scale, scenario.il2_scale)
     wt = time_weights(u_star.times)
@@ -228,8 +235,7 @@ def run_pipeline(scenario: Scenario, out_dir, seed: int | None = None,
 
     emit("mean_untreated.csv", ["t", "T", "N", "L", "C"], mean_untr)
     emit("mean_treated.csv", ["t", "T", "N", "L", "C"], mean_tr)
-    emit("diagnostics_untreated.csv", ["t", "mass", "min_f", "l2_norm"],
-         _diag_rows(field_untr, diag_untr))
+    emit("diagnostics_untreated.csv", ["t", "mass", "min_f", "l2_norm"], diag_rows_untr)
     emit("diagnostics_treated.csv", ["t", "mass", "min_f", "l2_norm"],
          _diag_rows(field_tr, diag_tr))
     emit("dosage.csv", ["t", "u1", "u2", "u1_mg_per_day", "u2_iu_per_l_per_day"],
@@ -296,7 +302,13 @@ def run_forward(scenario: Scenario, out_dir, seed: int | None = None,
 
 def run_oracle(scenario: Scenario, out_dir, seed: int | None = None,
                checkpoint_every: int = 1) -> dict:
-    """Density solver vs Monte Carlo marginal comparison (no treatment)."""
+    """Density solver vs Monte Carlo marginal comparison (no treatment).
+
+    The solve stores only steps 0, n/2 and n, the checkpoints of stride
+    n/2: exactly the snapshots the comparison reads, so nothing is
+    re-stepped. ``checkpoint_every`` (``--checkpoint-every``) has no
+    effect here.
+    """
     # both comparisons, at t_final/2 and t_final, must fall on a step of each grid
     for key, steps in (("time.n_steps", scenario.n_steps), ("sde.n_steps", scenario.sde_steps)):
         if steps % 2:
@@ -310,9 +322,9 @@ def run_oracle(scenario: Scenario, out_dir, seed: int | None = None,
     var = scenario.target_variance
 
     field, _ = solve_forward(ctx.f0, ctx.u_zero, ctx.q, grid, disp=disp,
-                             store_every=checkpoint_every)
-    # Keep only the marginals the comparison reads, so the density history
-    # is freed before the ensemble's buffers are allocated.
+                             store_every=n_steps // 2)
+    # Keep only the marginals, so the stored snapshots are freed before
+    # the ensemble's buffers are allocated.
     fp_margs = [[grid.marginal(field.snapshot(m), axis) for axis in range(4)]
                 for m in (n_steps // 2, n_steps)]
     del field
@@ -380,12 +392,16 @@ def run_target(scenario: Scenario, out_dir, seed: int | None = None,
     traj, fstar = _target_for(scenario, grid, t_grid)
     write_csv(out / "target_trajectory.csv", ["t", "T", "N", "L", "C"],
               np.column_stack([traj.times, traj.states]))
-    for axis in range(4):
-        rows = []
-        for m in range(fstar.n_steps + 1):
-            marg = grid.marginal(fstar.snapshot(m), axis)
+    # Each step's target is formed once and feeds all four files.
+    rows = [[] for _ in range(4)]
+    masses = []
+    for m in range(fstar.n_steps + 1):
+        snap = fstar.snapshot(m)
+        for axis in range(4):
+            marg = grid.marginal(snap, axis)
             for xv, dv in zip(grid.axis(axis), marg):
-                rows.append([t_grid[m], xv, dv])
-        write_csv(out / f"target_marginal_axis{axis}.csv", ["t", "x", "density"], rows)
-    masses = [grid.integrate(fstar.snapshot(m)) for m in range(fstar.n_steps + 1)]
+                rows[axis].append([t_grid[m], xv, dv])
+        masses.append(grid.integrate(snap))
+    for axis in range(4):
+        write_csv(out / f"target_marginal_axis{axis}.csv", ["t", "x", "density"], rows[axis])
     return {"max_mass_error": float(np.max(np.abs(np.array(masses) - 1.0)))}

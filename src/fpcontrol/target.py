@@ -40,11 +40,13 @@ def gaussian_on_grid(grid: Grid4D, center, variance: float) -> np.ndarray:
 
 
 class TargetDensity:
-    """Anchor snapshots plus lazy per-step interpolation.
+    """Anchor snapshots plus per-step interpolation formed on demand.
 
     A solver-step snapshot is one renormalized convex combination of two
-    anchors, built on first use and then cached: once every step has been
-    read, one grid array per step is held besides the anchors.
+    anchors. Each read forms it afresh into a new array; only the
+    blend's mass (one float per step) is kept between reads, so the
+    target holds the anchors and one work array however many steps are
+    read.
     """
 
     def __init__(self, grid: Grid4D, times: np.ndarray, anchor_times: np.ndarray,
@@ -53,26 +55,30 @@ class TargetDensity:
         self.times = np.asarray(times, dtype=float)
         self.anchor_times = np.asarray(anchor_times, dtype=float)
         self.anchor_snapshots = anchor_snapshots
-        self._cache: dict[int, np.ndarray] = {}
+        self._mass: dict[int, float] = {}
+        self._work = np.empty(grid.shape)
 
     @property
     def n_steps(self) -> int:
         return self.times.size - 1
 
     def snapshot(self, m: int) -> np.ndarray:
+        """Step m's target, ((1 - theta) A_j + theta A_(j+1)) / mass, as a new array."""
         if not 0 <= m <= self.n_steps:
             raise IndexError(f"step index {m} outside 0..{self.n_steps}")
-        if m in self._cache:
-            return self._cache[m]
         t = self.times[m]
         j = int(np.searchsorted(self.anchor_times, t, side="right") - 1)
         j = min(max(j, 0), self.anchor_times.size - 2)
         t0, t1 = self.anchor_times[j], self.anchor_times[j + 1]
         theta = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
         theta = min(max(theta, 0.0), 1.0)
-        f = (1.0 - theta) * self.anchor_snapshots[j] + theta * self.anchor_snapshots[j + 1]
-        f = f / self.grid.integrate(f)
-        self._cache[m] = f
+        f = np.multiply(self.anchor_snapshots[j], 1.0 - theta)
+        np.multiply(self.anchor_snapshots[j + 1], theta, out=self._work)
+        f += self._work
+        mass = self._mass.get(m)
+        if mass is None:
+            mass = self._mass[m] = self.grid.integrate(f)
+        f /= mass
         return f
 
 

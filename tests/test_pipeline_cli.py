@@ -1,8 +1,10 @@
 import dataclasses
 import filecmp
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -13,7 +15,8 @@ from fpcontrol.adjoint import time_weights
 from fpcontrol.cli import main as cli_main
 from fpcontrol.grid import Grid4D
 from fpcontrol.io_utils import read_csv, read_density, write_density
-from fpcontrol.pipeline import run_forward, run_gradcheck, run_pipeline, run_target
+from fpcontrol.pipeline import (run_forward, run_gradcheck, run_oracle, run_pipeline,
+                                run_target)
 from fpcontrol.scenario import load_scenario
 
 
@@ -139,6 +142,58 @@ class TestSolveCount:
             assert getattr(report, key) == blob[key] == value, key
 
 
+class TestHistoryLifetime:
+    def test_previous_history_is_dead_when_the_next_solve_starts(self, tmp_path, monkeypatch):
+        import fpcontrol.pipeline as pipeline
+
+        solve = pipeline.solve_forward
+        earlier, alive_at_start = [], []
+
+        def spying_solve(*args, **kwargs):
+            gc.collect()
+            alive_at_start.append(sum(ref() is not None for ref in earlier))
+            field, diag = solve(*args, **kwargs)
+            earlier.append(weakref.ref(field))
+            return field, diag
+
+        monkeypatch.setattr(pipeline, "solve_forward", spying_solve)
+        run_pipeline(load_scenario(scenario_path("demo_small")), tmp_path)
+        assert len(alive_at_start) > 2
+        assert alive_at_start == [0] * len(alive_at_start)
+
+    def test_oracle_stores_only_the_compared_steps(self, tmp_path, monkeypatch):
+        import fpcontrol.pipeline as pipeline
+
+        scenario = load_scenario(scenario_path("demo_small"))
+        n = scenario.n_steps
+        solve, simulate = pipeline.solve_forward, pipeline.simulate_paths
+        seen = {}
+
+        def spying_solve(*args, **kwargs):
+            field, diag = solve(*args, **kwargs)
+            seen["stored"] = [m for m in range(n + 1) if field.is_stored(m)]
+            seen["full"], _ = solve(*args, **dict(kwargs, store_every=1))
+            return field, diag
+
+        def spying_simulate(*args, **kwargs):
+            seen["ensemble"] = simulate(*args, **kwargs)
+            return seen["ensemble"]
+
+        monkeypatch.setattr(pipeline, "solve_forward", spying_solve)
+        monkeypatch.setattr(pipeline, "simulate_paths", spying_simulate)
+        info = run_oracle(scenario, tmp_path, checkpoint_every=3)
+        assert seen["stored"] == [0, n // 2, n]
+        grid, ens, full = scenario.grid(), seen["ensemble"], seen["full"]
+        want = []
+        for t_idx, m in enumerate((n // 2, n), start=1):
+            for axis in range(4):
+                fp_marg = grid.marginal(full.snapshot(m), axis)
+                mc_marg = pipeline.marginal_histogram(ens, t_idx, axis, grid.axis(axis))
+                l1 = float(np.sum(grid.axis_weights(axis) * np.abs(fp_marg - mc_marg)))
+                want.append([ens.times[t_idx], float(axis), l1])
+        assert info["rows"] == want
+
+
 class TestAuxiliaryPipelines:
     def test_forward_emits_density_and_marginals(self, tmp_path):
         scenario = load_scenario(scenario_path("demo_small"))
@@ -158,6 +213,21 @@ class TestAuxiliaryPipelines:
         text = (tmp_path / "gradcheck.txt").read_text()
         assert "worst relative error" in text
         assert text.count("direction") == 5
+
+    def test_target_forms_each_step_once(self, tmp_path, monkeypatch):
+        from fpcontrol.target import TargetDensity
+
+        reads = []
+        snapshot = TargetDensity.snapshot
+
+        def counting(self, m):
+            reads.append(m)
+            return snapshot(self, m)
+
+        monkeypatch.setattr(TargetDensity, "snapshot", counting)
+        scenario = load_scenario(scenario_path("demo_small"))
+        run_target(scenario, tmp_path)
+        assert reads == list(range(scenario.n_steps + 1))
 
     def test_target_marginals_are_normalized(self, tmp_path):
         scenario = load_scenario(scenario_path("demo_small"))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,56 @@ class TestBuildTarget:
             snap = target.snapshot(m)
             assert abs(grid.integrate(snap) - 1.0) < 1e-8
             assert snap.min() >= 0.0
+
+
+def drifting_target(grid, n_steps=40, n_anchors=7):
+    times = np.linspace(0.0, 10.0, 50)
+    states = np.column_stack([
+        np.linspace(0.3, 2.5, 50),
+        np.full(50, 1.0),
+        np.linspace(1.0, 2.0, 50),
+        np.linspace(1.5, 1.0, 50),
+    ])
+    return build_target(Trajectory(times=times, states=states), n_anchors, 0.2,
+                        grid, np.linspace(0.0, 10.0, n_steps + 1))
+
+
+def blend_reference(target, m):
+    """Step m's target by the plain formula: two scaled anchors, summed, normalized."""
+    t = target.times[m]
+    j = int(np.searchsorted(target.anchor_times, t, side="right") - 1)
+    j = min(max(j, 0), target.anchor_times.size - 2)
+    t0, t1 = target.anchor_times[j], target.anchor_times[j + 1]
+    theta = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+    theta = min(max(theta, 0.0), 1.0)
+    f = (1.0 - theta) * target.anchor_snapshots[j] + theta * target.anchor_snapshots[j + 1]
+    return f / target.grid.integrate(f)
+
+
+class TestOnDemandSnapshot:
+    def test_every_read_equals_the_blend_formula_bit_for_bit(self):
+        target = drifting_target(Grid4D.cube(0.0, 6.0, 9))
+        for m in range(target.n_steps + 1):
+            want = blend_reference(target, m)
+            first = target.snapshot(m)
+            assert np.array_equal(first.view(np.uint64), want.view(np.uint64)), m
+            first.fill(-1.0)  # a read is the caller's own array
+            again = target.snapshot(m)
+            assert again is not first
+            assert np.array_equal(again.view(np.uint64), want.view(np.uint64)), m
+
+    def test_reading_every_step_twice_keeps_anchors_plus_one_snapshot(self):
+        grid = Grid4D.cube(0.0, 6.0, 9)
+        snapshot_bytes = 8 * grid.cell_count()
+        tracemalloc.start()
+        try:
+            target = drifting_target(grid)
+            for _ in range(2):
+                for m in range(target.n_steps + 1):
+                    target.snapshot(m)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the anchors, one work array and the per-step masses; a grid
+        # array kept per step would add 41 snapshots
+        assert held <= target.anchor_snapshots.nbytes + snapshot_bytes + 8192
