@@ -73,15 +73,21 @@ def objective(
     wt = time_weights(u.times)
     track = 0.0
     for m in range(f.n_steps + 1):
-        diff = f.snapshot(m) - f_star.snapshot(m)
-        track += wt[m] * grid.integrate(diff * diff)
+        # the mismatch and its square in the target read, a fresh array
+        diff = f_star.snapshot(m)
+        np.subtract(f.snapshot(m), diff, out=diff)
+        track += wt[m] * grid.integrate(np.multiply(diff, diff, out=diff))
     cost1 = float(np.sum(wt * u.u1**2))
     cost2 = float(np.sum(wt * u.u2**2))
     return 0.5 * alpha * track + 0.5 * nu1 * cost1 + 0.5 * nu2 * cost2
 
 
-def _mismatch_source(weights: np.ndarray, f_m, fstar_m, alpha: float, wt_m: float) -> np.ndarray:
-    return alpha * wt_m * weights * (f_m - fstar_m)
+def _mismatch_source(weights: np.ndarray, f_m, fstar_m, alpha: float, wt_m: float,
+                     work: np.ndarray) -> np.ndarray:
+    """alpha wt_m weights (f_m - fstar_m), formed in ``work`` and in
+    ``fstar_m`` (a fresh target read), which it returns."""
+    diff = np.subtract(f_m, fstar_m, out=fstar_m)
+    return np.multiply(np.multiply(weights, alpha * wt_m, out=work), diff, out=diff)
 
 
 def adjoint_gradient(
@@ -99,9 +105,12 @@ def adjoint_gradient(
     each step's vector-Jacobian product (``DgStepper.step_transpose``)
     applies the transposed propagator to the running adjoint and yields
     the step's dose sensitivities. Besides the stored history, the sweep
-    holds the running adjoint, two density snapshots and one target
-    snapshot at a time; ``f_star`` forms each target on demand and keeps
-    none of them.
+    holds the quadrature weights, one work array, the running adjoint and
+    the one ``step_transpose`` returns, and one target read at a time:
+    ``f_star`` forms each target on demand, and the mismatch source is
+    formed in that read and the work array, then added into the adjoint
+    in place. The stepper's own work arrays are allocated by its first
+    transposed step and reused by every later one.
     """
     _check_alignment(f, f_star)
     grid = f.grid
@@ -114,14 +123,15 @@ def adjoint_gradient(
     euclid_g2 = nu2 * wt * u.u2
 
     weights = grid.weights()
+    work = np.empty(grid.shape)
     f_next = f.snapshot(n_steps)
-    p = _mismatch_source(weights, f_next, f_star.snapshot(n_steps), alpha, wt[n_steps])
+    p = _mismatch_source(weights, f_next, f_star.snapshot(n_steps), alpha, wt[n_steps], work)
     for m in range(n_steps - 1, -1, -1):
         f_m = f.snapshot(m)
-        p_prev, (s1, s2) = stepper.step_transpose(f_m, f_next, u.at_index(m), dt, p)
+        p, (s1, s2) = stepper.step_transpose(f_m, f_next, u.at_index(m), dt, p)
         euclid_g1[m] += s1
         euclid_g2[m] += s2
-        p = p_prev + _mismatch_source(weights, f_m, f_star.snapshot(m), alpha, wt[m])
+        p += _mismatch_source(weights, f_m, f_star.snapshot(m), alpha, wt[m], work)
         f_next = f_m
 
     return ControlGradient(times=times.copy(), g1=euclid_g1 / wt, g2=euclid_g2 / wt)

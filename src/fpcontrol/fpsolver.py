@@ -27,12 +27,16 @@ Everything along axis j is stored and swept with axis j first: face data
 (n-1, ...), bands (n, ...), and each solve's contiguous right-hand side.
 A step returns the density in the grid's C order.
 
-A step allocates nothing but the array it returns. Every full-size
-intermediate lives in work arrays that each stepper and each of its axes
-own: allocated on the first step, overwritten by every later one, and
-so not to be shared across threads. The transposed step replays the
-step's predictor and corrections in the same arrays and reads its stages
-and Thomas factors from them.
+A step, and a transposed step, allocates nothing but the array it
+returns. Every full-size intermediate lives in work arrays that each
+stepper and each of its axes own: allocated on the first call that
+needs them, overwritten by every later one, and so not to be shared
+across threads. The transposed step replays the step's predictor and
+corrections in the same arrays and reads its stages and Thomas factors
+from them. It borrows the arrays the replay leaves free for the adjoint
+stages, and owns the rest it needs: d + 1 more grid-size arrays in the
+stepper, a copy of the explicit bands and a boolean face mask in each
+axis.
 """
 
 from __future__ import annotations
@@ -94,15 +98,39 @@ def bernoulli_derivative(w):
     a relative error under 1e-15.
     """
     w = np.asarray(w, dtype=float)
-    a = np.abs(w)
-    small = a < 0.2
-    a = np.maximum(a, 0.2)  # keeps the closed form away from a = 0
-    em1 = np.expm1(-a)
-    right = np.exp(-a) * (-em1 - a) / (em1 * em1)
-    w2 = w * w
-    series = -0.5 + w * (1.0 / 6.0 - w2 * (1.0 / 180.0 - w2 * (1.0 / 5040.0
-                         - w2 * (1.0 / 151200.0 - w2 / 4790016.0))))
-    return np.where(small, series, np.where(w < 0.0, -1.0 - right, right))
+    return _bernoulli_derivative(w, np.empty_like(w), np.empty_like(w), np.empty_like(w),
+                                 np.empty(w.shape, dtype=bool))
+
+
+def _bernoulli_derivative(w, out, t1, t2, mask):
+    """``bernoulli_derivative`` into ``out``, with t1, t2 and the boolean
+    ``mask`` (all of w's shape) as scratch; w is not written."""
+    a = np.abs(w, out=out)
+    np.maximum(a, 0.2, out=a)  # keeps the closed form away from a = 0
+    em1 = np.negative(a, out=t1)
+    np.expm1(em1, out=em1)
+    num = np.negative(em1, out=t2)
+    num -= a
+    right = np.negative(a, out=out)
+    np.exp(right, out=right)
+    right *= num
+    em1 *= em1
+    right /= em1
+    np.less(w, 0.0, out=mask)
+    np.subtract(-1.0, right, out=right, where=mask)
+    np.abs(w, out=t1)
+    small = np.less(t1, 0.2, out=mask)
+    w2 = np.multiply(w, w, out=t2)
+    # -0.5 + w (1/6 - w2 (1/180 - w2 (1/5040 - w2 (1/151200 - w2/4790016))))
+    series = np.divide(w2, 4790016.0, out=t1)
+    for c in (1.0 / 151200.0, 1.0 / 5040.0, 1.0 / 180.0):
+        np.subtract(c, series, out=series)
+        series *= w2
+    np.subtract(1.0 / 6.0, series, out=series)
+    series *= w
+    np.add(-0.5, series, out=series)
+    np.copyto(right, series, where=small)
+    return right
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +183,14 @@ def _band_apply(bands, f, out=None, scratch=None):
     return out
 
 
+def _laid_out_like(buf, a):
+    """A view of ``buf``'s first ``a.size`` elements with a's shape and
+    the axis order of a's memory layout."""
+    order = sorted(range(a.ndim), key=lambda i: -a.strides[i])
+    mem = buf.reshape(-1)[:a.size].reshape([a.shape[i] for i in order])
+    return mem.transpose(np.argsort(order))
+
+
 @dataclass
 class AxisDiscretization:
     """Face data for one axis, stored with that axis first.
@@ -170,7 +206,9 @@ class AxisDiscretization:
     The axis owns the arrays its faces and bands are built in: three of
     the faces' shape and three of the bands', allocated on first use.
     What ``operator_bands`` returns is valid until the axis' next call
-    to it.
+    to it. For the transposed step it also owns, from its first call,
+    three arrays of the bands' shape that ``explicit_copy`` fills and a
+    boolean array of the faces' shape, B'(w)'s mask.
     """
 
     n: int
@@ -184,6 +222,7 @@ class AxisDiscretization:
         self.delta_nodes = np.full((self.n,) + self.dface.shape[1:], self.h)
         self.delta_nodes[0] = self.delta_nodes[-1] = 0.5 * self.h
         self._work = None
+        self._transposed = None
 
     def _buffers(self):
         """The face arrays (w and two weights) and the bands (lo, di, up)."""
@@ -194,6 +233,22 @@ class AxisDiscretization:
             self._work = (tuple(np.empty(face) for _ in range(3)),
                           tuple(np.empty(band) for _ in range(3)))
         return self._work
+
+    def _transposed_buffers(self):
+        """Arrays only the transposed step uses: three for the explicit
+        bands, and a boolean face mask for B'(w)."""
+        if self._transposed is None:
+            (w, _, _), bands = self._buffers()
+            self._transposed = (tuple(np.empty_like(b) for b in bands),
+                                np.empty(w.shape, dtype=bool))
+        return self._transposed
+
+    def explicit_copy(self, bands):
+        """Copy ``bands`` into the axis' arrays for them and return those."""
+        copies = self._transposed_buffers()[0]
+        for copy, band in zip(copies, bands):
+            np.copyto(copy, band)
+        return copies
 
     def drift_faces(self, u1: float, u2: float) -> np.ndarray:
         return self.f0_face + u1 * self.g1_face + u2 * self.g2_face
@@ -230,7 +285,7 @@ class AxisDiscretization:
         b_left *= d  # m = d B(-w); the left node's weight is -m
         return _flux_difference_bands(b_right, b_left, self.delta_nodes, bands)
 
-    def dose_face_sums(self, terms) -> np.ndarray:
+    def dose_face_sums(self, terms, work) -> np.ndarray:
         """Face sums V with g_c . V = sum of weight * <q, C_c x> over ``terms``.
 
         w comes from the axis' last ``operator_bands`` call; ``terms``
@@ -240,21 +295,29 @@ class AxisDiscretization:
         the left, so its flux through a face is g_c (B'(w) (x_R - x_L) - x_L),
         and <q, C_c x> sums that against q_L/delta_L - q_R/delta_R.
         V reduces every axis but the first.
+
+        Allocates only V. ``work`` is three borrowed float arrays of at
+        least x's size, overwritten. B'(w) is formed in the axis' other
+        two face arrays (free once the bands are built), one of ``work``
+        and the axis' boolean mask; the terms in ``work``. The running
+        total is laid out like the first x, since the order of the final
+        sum follows it.
         """
-        slope = bernoulli_derivative(self._buffers()[0][0])
-        total = None
-        for weight, x, qv in terms:
-            qd = qv * (weight / self.delta_nodes)
-            dq = qd[:-1] - qd[1:]
-            # in place from here on: the layout, and so the order of the
-            # final sum, follows the first x's and not the face data's shape
-            flux = x[1:] - x[:-1]
-            flux *= slope
-            flux -= x[:-1]
-            flux *= dq
-            if total is None:
-                total = flux
-            else:
+        (w, slope, t1), _ = self._buffers()
+        x0 = terms[0][1][1:]
+        total, dq, flux = (_laid_out_like(buf, x0) for buf in work)
+        _bernoulli_derivative(w, slope, t1, _laid_out_like(work[1], w),
+                              self._transposed_buffers()[1])
+        for k, (weight, x, qv) in enumerate(terms):
+            c = weight / self.delta_nodes
+            np.multiply(qv[:-1], c[:-1], out=dq)
+            dq -= np.multiply(qv[1:], c[1:], out=flux)
+            term = total if k == 0 else flux
+            np.subtract(x[1:], x[:-1], out=term)
+            term *= slope
+            term -= x[:-1]
+            term *= dq
+            if k > 0:
                 total += flux
         return np.einsum(total, list(range(total.ndim)), [0])
 
@@ -283,9 +346,10 @@ class DgStepper:
     the grid's size: A_j f per axis (axis j first, C-ordered, and the
     right-hand side, then the stage, of correction j), the predictor, and
     the scratch of the band applications. They are allocated on the first
-    step and written by every ``step`` and ``step_transpose``, so a
-    stepper serves one thread at a time; both return fresh arrays, which
-    callers may keep.
+    step and written by every ``step`` and ``step_transpose``. The first
+    ``step_transpose`` adds d + 1 more of the grid's size, which only the
+    transposed step writes. So a stepper serves one thread at a time;
+    both steps return fresh arrays, which callers may keep.
     """
 
     def __init__(self, axes: list[AxisDiscretization], shape: tuple[int, ...]):
@@ -304,13 +368,14 @@ class DgStepper:
         order = range(self.ndim)
         self._to_first = [(j,) + tuple(i for i in order if i != j) for j in order]
         self._from_first = [tuple(perm.index(i) for i in order) for perm in self._to_first]
+        self._moved = [tuple(shape[i] for i in perm) for perm in self._to_first]
         self._work = None
+        self._adjoint_work = None
 
     def _buffers(self):
         """A_j f buffers (axis j first), the predictor, and apply scratch."""
         if self._work is None:
-            moved = [tuple(self.shape[i] for i in perm) for perm in self._to_first]
-            self._work = ([np.empty(s) for s in moved], np.empty(self.shape),
+            self._work = ([np.empty(s) for s in self._moved], np.empty(self.shape),
                           np.empty(self.shape))
         return self._work
 
@@ -385,44 +450,69 @@ class DgStepper:
         Replays the step's predictor and corrections in the work arrays,
         all but the last (that stage is ``f_next``), and factors the last
         implicit operator too: each axis' bands then hold the factors the
-        transposed solves use, A^T = U^T L^T. A copy of the explicit bands
-        serves the transposed products. Returns M^T p_next and, per dose
-        channel c, the sensitivity <p_next, dM/du_c f>, taken from one
-        face contraction per axis.
+        transposed solves use, A^T = U^T L^T. A copy of the explicit bands,
+        in arrays the axes own, serves the transposed products. Returns
+        M^T p_next and, per dose channel c, the sensitivity
+        <p_next, dM/du_c f>, taken from one face contraction per axis.
+
+        Allocates only the array it returns, and that last. Its grid-size
+        arrays are the three the replay leaves free (A_last f's buffer, the
+        predictor and the scratch) followed by the d + 1 it owns. The first
+        d hold the adjoint stages q_j, each solved in place. The next three
+        are lent to ``dose_face_sums`` for the face terms, then hold each
+        transposed product's input, result and scratch. The last holds
+        f_next - f for the last axis' sensitivity, then the running sum of
+        the products. Stage j < d - 1 becomes stage j - f in its own buffer.
         """
         u1, u2 = u
         half = 0.5 * dt
         last = self.ndim - 1
         bands = [ax.operator_bands(u1, u2) for ax in self.axes]
-        explicit = [tuple(b.copy() for b in bj) for bj in bands]
+        explicit = [ax.explicit_copy(b) for ax, b in zip(self.axes, bands)]
         self._advance(f, bands, dt, last)
         self._implicit_solve(last, bands[last], half)
-        af = self._buffers()[0]
-        stages = [self._unmv(af[j], j) for j in range(last)] + [f_next]
+        af, g, scratch = self._buffers()
+        if self._adjoint_work is None:
+            self._adjoint_work = [np.empty(self.shape) for _ in range(self.ndim + 1)]
+        free = [af[last], g, scratch] + self._adjoint_work
+        work, total = free[self.ndim:-1], free[-1]
 
         q = [None] * self.ndim
         v = p_next
         for j in range(last, -1, -1):
-            v = self._unmv(thomas_factored_solve(ThomasFactors(*bands[j]), self._mv(v, j),
-                                                 transposed=True), j)
-            q[j] = v
+            buf = free[last - j].reshape(self._moved[j])
+            np.copyto(buf, self._mv(v, j))
+            thomas_factored_solve(ThomasFactors(*bands[j]), buf, transposed=True, overwrite=True)
+            v = q[j] = self._unmv(buf, j)
         q1 = q[0]
-        # A_j^T: A_j's product with its off-diagonals swapped
-        out = q1 + sum(
-            self._unmv(_band_apply((up[:-1], di, lo[1:]), self._mv(dt * q1 - half * q[j], j)), j)
-            for j, (lo, di, up) in enumerate(explicit)
-        )
 
         # predictor: dt <q1, C_j f>; correction j: dt/2 <q_j, C_j (g_j - f)>
         sens = np.zeros(2)
         for j, ax in enumerate(self.axes):
             if np.all(ax.g1_face == 0.0) and np.all(ax.g2_face == 0.0):
                 continue
-            v_face = ax.dose_face_sums((
-                (dt, self._mv(f, j), self._mv(q1, j)),
-                (half, self._mv(stages[j] - f, j), self._mv(q[j], j))))
+            if j < last:
+                dg = np.subtract(af[j], self._mv(f, j), out=af[j])
+            else:
+                dg = self._mv(np.subtract(f_next, f, out=total), j)
+            v_face = ax.dose_face_sums(((dt, self._mv(f, j), self._mv(q1, j)),
+                                        (half, dg, self._mv(q[j], j))), work)
             sens += (np.dot(ax.g1_face.ravel(), v_face), np.dot(ax.g2_face.ravel(), v_face))
-        return out, (float(sens[0]), float(sens[1]))
+
+        # q1 + the sum over j of A_j^T (dt q1 - half q_j), A_j^T being A_j's
+        # product with its off-diagonals swapped; the sum starts from 0, and
+        # 0 + -0.0 is +0.0. The returned array is allocated last, so numpy's
+        # ufunc buffers never coexist with it.
+        for j, (lo, di, up) in enumerate(explicit):
+            r, t, s = (buf.reshape(self._moved[j]) for buf in work)
+            np.multiply(self._mv(q1, j), dt, out=r)
+            r -= np.multiply(self._mv(q[j], j), half, out=t)
+            if j == 0:
+                _band_apply((up[:-1], di, lo[1:]), r, total, s)
+                np.add(total, 0, out=total)
+            else:
+                total += self._unmv(_band_apply((up[:-1], di, lo[1:]), r, t, s), j)
+        return q1 + total, (float(sens[0]), float(sens[1]))
 
 
 def build_fp_stepper(grid: Grid4D, q: NonDimParams,
@@ -587,10 +677,11 @@ def solve_forward(
     l2 = np.empty(n_steps + 1)
 
     f = f0.copy()
+    square = np.empty(grid.shape)  # f * f for the L2 monitor, one buffer per solve
     field.store(0, f)
     mass[0] = grid.integrate(f)
     min_value[0] = f.min()
-    l2[0] = math.sqrt(grid.integrate(f * f))
+    l2[0] = math.sqrt(grid.integrate(np.multiply(f, f, out=square)))
 
     for m in range(n_steps):
         f = stepper.step(f, u.at_index(m), dt)
@@ -600,7 +691,7 @@ def solve_forward(
             raise DivergenceError(f"density mass is {mass[m + 1]} after step {m + 1}",
                                   time=float(times[m + 1]))
         min_value[m + 1] = f.min()
-        l2[m + 1] = math.sqrt(grid.integrate(f * f))
+        l2[m + 1] = math.sqrt(grid.integrate(np.multiply(f, f, out=square)))
 
     diag = ForwardDiagnostics(mass=mass, min_value=min_value, l2_norm=l2)
     if diag.max_mass_deviation > 1e-8:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,26 @@ class TestDiscreteAdjoint:
             assert np.array_equal(g_full.g2, g_chk.g2)
 
 
+class TestSweepMemory:
+    def test_later_sweep_holds_a_few_snapshots(self):
+        # above the stored history a sweep holds the quadrature weights, one
+        # work array, the running adjoint and the next, and a target read;
+        # the stepper's work arrays are allocated by the first sweep. With a
+        # fresh array per product and stage a sweep peaked at 19 snapshots
+        grid, q, disp, fstar, f0, t_grid = make_setup(n=13, nt=4)
+        u = ControlSchedule.constant(t_grid[-1], t_grid.size - 1, 2.0, 0.04, 7.0, 0.072)
+        stepper = build_fp_stepper(grid, q, disp)
+        field, _ = solve_forward(f0, u, q, grid, disp=disp, stepper=stepper)
+        adjoint_gradient(field, fstar, u, stepper, 1.0, 0.01, 0.01)
+        tracemalloc.start()
+        try:
+            adjoint_gradient(field, fstar, u, stepper, 1.0, 0.01, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * f0.nbytes
+
+
 class TestReducedFaceShapes:
     # Each drift component is expanded along its own axis only; the
     # stepper must give the same bits as with full-size face data.
@@ -205,7 +227,8 @@ class TestStepTranspose:
         qv = rng.normal(size=grid.shape)
         for j, ax in enumerate(stepper.axes):
             ax.operator_bands(u1, u2)
-            v = ax.dose_face_sums(((1.0, np.moveaxis(x, j, 0), np.moveaxis(qv, j, 0)),))
+            work = [np.empty(grid.shape) for _ in range(3)]
+            v = ax.dose_face_sums(((1.0, np.moveaxis(x, j, 0), np.moveaxis(qv, j, 0)),), work)
             for channel, g in ((1, ax.g1_face), (2, ax.g2_face)):
                 cbands = ax.control_bands(u1, u2, channel)
                 if cbands is None:

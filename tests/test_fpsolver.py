@@ -294,9 +294,10 @@ class TestDgStep:
 
     def test_later_transposed_steps_replay_in_the_work_arrays(self, rng):
         # step_transpose replays the stages in the step's work arrays and
-        # factors in its axes' bands; it allocates the explicit bands' copy,
-        # the adjoint stages and the transposed products, 16.2 snapshots on
-        # this grid. Stages rebuilt in arrays of its own read 19.2
+        # factors in its axes' bands, and forms the adjoint stages, the
+        # face sums and the products in arrays it owns or borrows: a later
+        # call allocates only the array it returns, last, the forward
+        # step's bound. Temporaries per product and stage read 16.2 snapshots
         grid = Grid4D.cube(0.0, 6.0, 13)
         f = gaussian_on_grid(grid, [0.5, 1.0, 1.0, 1.0], 0.2)
         p = rng.normal(size=grid.shape)
@@ -311,7 +312,7 @@ class TestDgStep:
                 before, _ = tracemalloc.get_traced_memory()
                 stepper.step_transpose(f, f_next, u, 0.05, p)
                 _, peak = tracemalloc.get_traced_memory()
-                assert peak - before <= 17 * f.nbytes
+                assert peak - before <= 1.25 * f.nbytes
         finally:
             tracemalloc.stop()
 

@@ -122,3 +122,39 @@ class TestInputsStayUnchanged:
             stepper.step_transpose(f, f_next, u, 0.25, rng.normal(size=grid.shape))
             f = f_next
         assert [a.tobytes() for a in snaps] == before
+
+
+class TestTransposedWorkArrays:
+    # step_transpose solves, sums and accumulates in arrays the stepper and
+    # its axes keep from call to call; what one call leaves there must not
+    # reach the next, and what it returns must not be one of them
+
+    def test_reused_stepper_gives_a_fresh_steppers_bits(self):
+        grid, used, u, rng = seeded_step_case(seed=17)
+        _, fresh, _, _ = seeded_step_case(seed=17)
+        for _ in range(3):
+            x = rng.normal(size=grid.shape)
+            other = (rng.uniform(0.0, 7.0), rng.uniform(0.0, 0.072))
+            used.step_transpose(x, used.step(x, other, 0.5), other, 0.5,
+                                rng.normal(size=grid.shape))
+        f = rng.uniform(size=grid.shape)
+        p = rng.normal(size=grid.shape)
+        (got, got_sens), (want, want_sens) = (
+            stepper.step_transpose(f, stepper.step(f, u, 0.25), u, 0.25, p)
+            for stepper in (used, fresh))
+        assert same_bits(got, want) and got_sens == want_sens
+
+    def test_returned_arrays_share_no_memory(self):
+        grid, stepper, u, rng = seeded_step_case(seed=18)
+        f = rng.uniform(size=grid.shape)
+        f_next = stepper.step(f, u, 0.25)
+        first, _ = stepper.step_transpose(f, f_next, u, 0.25, rng.normal(size=grid.shape))
+        second, _ = stepper.step_transpose(f, f_next, u, 0.25, first)
+        af, g, scratch = stepper._buffers()
+        work = [*af, g, scratch, *stepper._adjoint_work]
+        for ax in stepper.axes:
+            faces, bands = ax._buffers()
+            copies, mask = ax._transposed_buffers()
+            work += [*faces, *bands, *copies, mask]
+        assert not np.shares_memory(first, second)
+        assert not any(np.shares_memory(out, a) for out in (first, second) for a in work)

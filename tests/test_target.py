@@ -87,7 +87,7 @@ class TestBuildTarget:
         traj = Trajectory(times=times, states=states)
         t_grid = np.linspace(0.0, 10.0, 5)
         target = build_target(traj, 2, 0.2, grid, t_grid)
-        a0, a1 = target.anchor_snapshots
+        a0, a1 = (gaussian_on_grid(grid, traj.state_at(t), 0.2) for t in target.anchor_times)
         mid = 0.5 * (a0 + a1)
         mid /= grid.integrate(mid)
         assert np.allclose(target.snapshot(2), mid, atol=1e-14)
@@ -120,7 +120,7 @@ class TestBuildTarget:
             assert snap.min() >= 0.0
 
 
-def drifting_target(grid, n_steps=40, n_anchors=7):
+def drifting_trajectory():
     times = np.linspace(0.0, 10.0, 50)
     states = np.column_stack([
         np.linspace(0.3, 2.5, 50),
@@ -128,19 +128,26 @@ def drifting_target(grid, n_steps=40, n_anchors=7):
         np.linspace(1.0, 2.0, 50),
         np.linspace(1.5, 1.0, 50),
     ])
-    return build_target(Trajectory(times=times, states=states), n_anchors, 0.2,
-                        grid, np.linspace(0.0, 10.0, n_steps + 1))
+    return Trajectory(times=times, states=states)
+
+
+def drifting_target(grid, n_steps=40, n_anchors=7):
+    return build_target(drifting_trajectory(), n_anchors, 0.2, grid,
+                        np.linspace(0.0, 10.0, n_steps + 1))
 
 
 def blend_reference(target, m):
-    """Step m's target by the plain formula: two scaled anchors, summed, normalized."""
+    """Step m's target by the plain formula: two anchors, each from
+    ``gaussian_on_grid`` at its trajectory point, scaled, summed, normalized."""
     t = target.times[m]
     j = int(np.searchsorted(target.anchor_times, t, side="right") - 1)
     j = min(max(j, 0), target.anchor_times.size - 2)
     t0, t1 = target.anchor_times[j], target.anchor_times[j + 1]
     theta = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
     theta = min(max(theta, 0.0), 1.0)
-    f = (1.0 - theta) * target.anchor_snapshots[j] + theta * target.anchor_snapshots[j + 1]
+    a0, a1 = (gaussian_on_grid(target.grid, drifting_trajectory().state_at(tj), 0.2)
+              for tj in (t0, t1))
+    f = (1.0 - theta) * a0 + theta * a1
     return f / target.grid.integrate(f)
 
 
@@ -168,6 +175,8 @@ class TestOnDemandSnapshot:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the anchors, one work array and the per-step masses; a grid
-        # array kept per step would add 41 snapshots
-        assert held <= target.anchor_snapshots.nbytes + snapshot_bytes + 8192
+        # the anchors' 1D factors, one work array and the per-step masses;
+        # grid-size anchors would add 7 snapshots, an array kept per step 41
+        factor_bytes = sum(g.nbytes for g in target.anchor_factors)
+        assert factor_bytes == 7 * 4 * 9 * 8
+        assert held <= factor_bytes + snapshot_bytes + 8192
