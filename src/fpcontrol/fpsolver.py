@@ -27,16 +27,20 @@ Everything along axis j is stored and swept with axis j first: face data
 (n-1, ...), bands (n, ...), and each solve's contiguous right-hand side.
 A step returns the density in the grid's C order.
 
+The transposed step replays nothing of the step. Its stages come from
+the step's result: with d_j = g_j - f the corrections read
+(I - dt/2 A_j) d_j = d_{j-1}, so d_{j-1} = d_j - dt/2 A_j d_j, one
+explicit product each, starting from d_d = f_next - f. The implicit
+operators are factored only, with the operations of the step's solves,
+so the transposed solves use the step's factors bit for bit.
+
 A step, and a transposed step, allocates nothing but the array it
 returns. Every full-size intermediate lives in work arrays that each
 stepper and each of its axes own: allocated on the first call that
 needs them, overwritten by every later one, and so not to be shared
-across threads. The transposed step replays the step's predictor and
-corrections in the same arrays and reads its stages and Thomas factors
-from them. It borrows the arrays the replay leaves free for the adjoint
-stages, and owns the rest it needs: d + 1 more grid-size arrays in the
-stepper, a copy of the explicit bands and a boolean face mask in each
-axis.
+across threads. The transposed step works in the step's arrays and owns
+the rest it needs: two more grid-size arrays in the stepper, a copy of
+the explicit bands and a boolean face mask in each axis.
 """
 
 from __future__ import annotations
@@ -188,7 +192,7 @@ def _laid_out_like(buf, a):
     the axis order of a's memory layout."""
     order = sorted(range(a.ndim), key=lambda i: -a.strides[i])
     mem = buf.reshape(-1)[:a.size].reshape([a.shape[i] for i in order])
-    return mem.transpose(np.argsort(order))
+    return mem.transpose(sorted(range(a.ndim), key=order.__getitem__))
 
 
 @dataclass
@@ -219,7 +223,8 @@ class AxisDiscretization:
     g2_face: np.ndarray
 
     def __post_init__(self):
-        self.delta_nodes = np.full((self.n,) + self.dface.shape[1:], self.h)
+        # control lengths vary along the own axis only
+        self.delta_nodes = np.full((self.n,) + (1,) * (self.dface.ndim - 1), self.h)
         self.delta_nodes[0] = self.delta_nodes[-1] = 0.5 * self.h
         self._work = None
         self._transposed = None
@@ -292,34 +297,34 @@ class AxisDiscretization:
         holds (weight, x, q) as axis-first views; C_c = dA/du_c. Since
         dw/du_c = h g_c / (sigma^2/2), channel c's face weights are
         g_c B'(w) on the right node and -g_c B'(-w) = -g_c (1 + B'(w)) on
-        the left, so its flux through a face is g_c (B'(w) (x_R - x_L) - x_L),
-        and <q, C_c x> sums that against q_L/delta_L - q_R/delta_R.
-        V reduces every axis but the first.
+        the left, so its flux through a face is g_c y with
+        y = B'(w) (x_R - x_L) - x_L, and <q, C_c x> sums that flux against
+        q_L/delta_L - q_R/delta_R. V reduces every axis but the first. The
+        control lengths delta vary along the first axis only, so each term
+        contracts its y with q_L and with q_R over the other axes and
+        weighs the two (n-1)-vectors by weight/delta afterwards.
 
-        Allocates only V. ``work`` is three borrowed float arrays of at
-        least x's size, overwritten. B'(w) is formed in the axis' other
-        two face arrays (free once the bands are built), one of ``work``
-        and the axis' boolean mask; the terms in ``work``. The running
-        total is laid out like the first x, since the order of the final
-        sum follows it.
+        Allocates only vectors of the axis' length. ``work`` is a borrowed
+        float array of at least x's size, overwritten: B'(w) is formed in
+        the axis' other two face arrays (free once the bands are built), in
+        ``work`` and in the axis' boolean mask, then each term's y in
+        ``work``, laid out like that term's q.
         """
         (w, slope, t1), _ = self._buffers()
-        x0 = terms[0][1][1:]
-        total, dq, flux = (_laid_out_like(buf, x0) for buf in work)
-        _bernoulli_derivative(w, slope, t1, _laid_out_like(work[1], w),
+        flat = work.reshape(-1)
+        _bernoulli_derivative(w, slope, t1, flat[:w.size].reshape(w.shape),
                               self._transposed_buffers()[1])
-        for k, (weight, x, qv) in enumerate(terms):
-            c = weight / self.delta_nodes
-            np.multiply(qv[:-1], c[:-1], out=dq)
-            dq -= np.multiply(qv[1:], c[1:], out=flux)
-            term = total if k == 0 else flux
-            np.subtract(x[1:], x[:-1], out=term)
-            term *= slope
-            term -= x[:-1]
-            term *= dq
-            if k > 0:
-                total += flux
-        return np.einsum(total, list(range(total.ndim)), [0])
+        index = list(range(w.ndim))
+        left = right = 0.0
+        for weight, x, qv in terms:
+            y = _laid_out_like(flat, qv[1:])
+            np.subtract(x[1:], x[:-1], out=y)
+            y *= slope
+            y -= x[:-1]
+            c = weight / self.delta_nodes.ravel()
+            left += c[:-1] * np.einsum(y, index, qv[:-1], index, [0])
+            right += c[1:] * np.einsum(y, index, qv[1:], index, [0])
+        return left - right
 
     def control_bands(self, u1: float, u2: float, channel: int):
         """Bands of dA/du for one control channel (None if inactive).
@@ -347,7 +352,7 @@ class DgStepper:
     right-hand side, then the stage, of correction j), the predictor, and
     the scratch of the band applications. They are allocated on the first
     step and written by every ``step`` and ``step_transpose``. The first
-    ``step_transpose`` adds d + 1 more of the grid's size, which only the
+    ``step_transpose`` adds two more of the grid's size, which only the
     transposed step writes. So a stepper serves one thread at a time;
     both steps return fresh arrays, which callers may keep.
     """
@@ -403,14 +408,16 @@ class DgStepper:
             raise SingularOperatorError(f"implicit solve broke down on axis {j}, line {exc.line}",
                                         axis=j, line=exc.line) from exc
 
-    def _advance(self, f: np.ndarray, bands, dt: float, corrections: int) -> np.ndarray:
-        """The predictor and the first ``corrections`` corrections of a step.
+    def step(self, f: np.ndarray, u: tuple[float, float], dt: float) -> np.ndarray:
+        """Advance one Douglas-Gunn step with coefficients frozen at u.
 
-        Leaves stage j in A_j f's work buffer (axis j first) and the
-        factors of correction j in ``bands[j]``; returns the last stage
-        computed, in grid axis order, as a view of a work array.
+        Works in the stepper's and its axes' arrays; ``f`` is not written
+        and the result is a new array. Stage j is solved in A_j f's work
+        buffer (axis j first), the factors of correction j in its bands.
         """
+        u1, u2 = u
         half = 0.5 * dt
+        bands = [ax.operator_bands(u1, u2) for ax in self.axes]
         af, g, scratch = self._buffers()
         for j in range(self.ndim):
             self.apply_operator(j, f, bands[j], af[j], scratch.reshape(af[j].shape))
@@ -420,24 +427,13 @@ class DgStepper:
             g += self._unmv(af[j], j)
         g *= dt
         np.add(f, g, out=g)
-        for j in range(corrections):
+        for j in range(self.ndim):
             # g - dt/2 A_j f over A_j f, the solve's axis-first buffer
             rhs = af[j]
             rhs *= half
             np.subtract(self._mv(g, j), rhs, out=rhs)
             self._implicit_solve(j, bands[j], half, rhs)
             g = self._unmv(rhs, j)
-        return g
-
-    def step(self, f: np.ndarray, u: tuple[float, float], dt: float) -> np.ndarray:
-        """Advance one Douglas-Gunn step with coefficients frozen at u.
-
-        Works in the stepper's and its axes' arrays; ``f`` is not written
-        and the result is a new array.
-        """
-        u1, u2 = u
-        bands = [ax.operator_bands(u1, u2) for ax in self.axes]
-        g = self._advance(f, bands, dt, self.ndim)
         # always a copy, never a work array (a one-axis stepper's is already
         # C-ordered); C order because the quadratures' sums, so the mass and
         # objective bits, follow the memory layout of what they integrate
@@ -447,57 +443,63 @@ class DgStepper:
                        dt: float, p_next: np.ndarray):
         """Vector-Jacobian product of the step f -> f_next = M(u) f.
 
-        Replays the step's predictor and corrections in the work arrays,
-        all but the last (that stage is ``f_next``), and factors the last
-        implicit operator too: each axis' bands then hold the factors the
-        transposed solves use, A^T = U^T L^T. A copy of the explicit bands,
-        in arrays the axes own, serves the transposed products. Returns
-        M^T p_next and, per dose channel c, the sensitivity
+        Returns M^T p_next and, per dose channel c, the sensitivity
         <p_next, dM/du_c f>, taken from one face contraction per axis.
 
-        Allocates only the array it returns, and that last. Its grid-size
-        arrays are the three the replay leaves free (A_last f's buffer, the
-        predictor and the scratch) followed by the d + 1 it owns. The first
-        d hold the adjoint stages q_j, each solved in place. The next three
-        are lent to ``dose_face_sums`` for the face terms, then hold each
-        transposed product's input, result and scratch. The last holds
-        f_next - f for the last axis' sensitivity, then the running sum of
-        the products. Stage j < d - 1 becomes stage j - f in its own buffer.
+        Nothing of the step is replayed. Each axis' bands are copied, into
+        arrays the axis owns, for the explicit products, then factored as
+        its implicit operator: the transposed solves use those factors,
+        A^T = U^T L^T. The stages come from ``f_next``: since
+        (I - dt/2 A_j)(g_j - f) = g_{j-1} - f, the last stage's
+        d = f_next - f gives each earlier d_{j-1} = g_{j-1} - f as
+        d_j - dt/2 A_j d_j, one explicit product per axis but the first.
+
+        Allocates only the array it returns, and that last. The adjoint
+        stage q_j is solved in place in A_j f's work buffer (axis j
+        first). The predictor and the scratch buffers and the two
+        grid-size arrays the stepper owns for this step serve as r, t, s
+        and the total. First the total and r take turns holding d_j, laid
+        out like q_j, and the face sums' y, while t and s hold A_j d_j and
+        its scratch; then they hold each transposed product's input,
+        result and scratch, and the running sum of the products.
         """
         u1, u2 = u
         half = 0.5 * dt
         last = self.ndim - 1
         bands = [ax.operator_bands(u1, u2) for ax in self.axes]
         explicit = [ax.explicit_copy(b) for ax, b in zip(self.axes, bands)]
-        self._advance(f, bands, dt, last)
-        self._implicit_solve(last, bands[last], half)
+        for j in range(self.ndim):
+            self._implicit_solve(j, bands[j], half)
         af, g, scratch = self._buffers()
         if self._adjoint_work is None:
-            self._adjoint_work = [np.empty(self.shape) for _ in range(self.ndim + 1)]
-        free = [af[last], g, scratch] + self._adjoint_work
-        work, total = free[self.ndim:-1], free[-1]
+            self._adjoint_work = [np.empty(self.shape) for _ in range(2)]
+        work, total = [g, scratch, self._adjoint_work[0]], self._adjoint_work[1]
 
-        q = [None] * self.ndim
         v = p_next
         for j in range(last, -1, -1):
-            buf = free[last - j].reshape(self._moved[j])
-            np.copyto(buf, self._mv(v, j))
-            thomas_factored_solve(ThomasFactors(*bands[j]), buf, transposed=True, overwrite=True)
-            v = q[j] = self._unmv(buf, j)
-        q1 = q[0]
+            np.copyto(af[j], self._mv(v, j))
+            thomas_factored_solve(ThomasFactors(*bands[j]), af[j], transposed=True, overwrite=True)
+            v = self._unmv(af[j], j)
+        q1 = v
 
-        # predictor: dt <q1, C_j f>; correction j: dt/2 <q_j, C_j (g_j - f)>
+        # predictor: dt <q1, C_j f>; correction j: dt/2 <q_j, C_j d_j>
         sens = np.zeros(2)
-        for j, ax in enumerate(self.axes):
-            if np.all(ax.g1_face == 0.0) and np.all(ax.g2_face == 0.0):
-                continue
-            if j < last:
-                dg = np.subtract(af[j], self._mv(f, j), out=af[j])
-            else:
-                dg = self._mv(np.subtract(f_next, f, out=total), j)
-            v_face = ax.dose_face_sums(((dt, self._mv(f, j), self._mv(q1, j)),
-                                        (half, dg, self._mv(q[j], j))), work)
-            sens += (np.dot(ax.g1_face.ravel(), v_face), np.dot(ax.g2_face.ravel(), v_face))
+        d, other = total.reshape(self._moved[last]), work[0]
+        np.subtract(self._mv(f_next, last), self._mv(f, last), out=d)
+        for j in range(last, -1, -1):
+            ax = self.axes[j]
+            if np.any(ax.g1_face != 0.0) or np.any(ax.g2_face != 0.0):
+                v_face = ax.dose_face_sums(((dt, self._mv(f, j), self._mv(q1, j)),
+                                            (half, d, af[j])), other)
+                sens += (np.dot(ax.g1_face.ravel(), v_face), np.dot(ax.g2_face.ravel(), v_face))
+            if j > 0:
+                lo, di, up = explicit[j]
+                t, s = (buf.reshape(self._moved[j]) for buf in work[1:])
+                _band_apply((lo[1:], di, up[:-1]), d, t, s)
+                t *= half
+                prev = other.reshape(self._moved[j - 1])
+                np.subtract(d, t, out=self._mv(self._unmv(prev, j - 1), j))
+                d, other = prev, d
 
         # q1 + the sum over j of A_j^T (dt q1 - half q_j), A_j^T being A_j's
         # product with its off-diagonals swapped; the sum starts from 0, and
@@ -506,7 +508,7 @@ class DgStepper:
         for j, (lo, di, up) in enumerate(explicit):
             r, t, s = (buf.reshape(self._moved[j]) for buf in work)
             np.multiply(self._mv(q1, j), dt, out=r)
-            r -= np.multiply(self._mv(q[j], j), half, out=t)
+            r -= np.multiply(af[j], half, out=t)
             if j == 0:
                 _band_apply((up[:-1], di, lo[1:]), r, total, s)
                 np.add(total, 0, out=total)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,11 +56,20 @@ class Grid4D:
     def axes(self) -> list[np.ndarray]:
         return [self.axis(i) for i in range(4)]
 
+    @cached_property
+    def _axis_weights(self) -> tuple[np.ndarray, ...]:
+        # built once per grid; read-only, since every caller shares them
+        weights = []
+        for n in self.npts:
+            w = np.full(n, self.h)
+            w[0] = w[-1] = 0.5 * self.h
+            w.flags.writeable = False
+            weights.append(w)
+        return tuple(weights)
+
     def axis_weights(self, i: int) -> np.ndarray:
-        """1D trapezoidal quadrature weights along axis i."""
-        w = np.full(self.npts[i], self.h)
-        w[0] = w[-1] = 0.5 * self.h
-        return w
+        """1D trapezoidal quadrature weights along axis i (read-only)."""
+        return self._axis_weights[i]
 
     def weights(self) -> np.ndarray:
         """Full tensor-product trapezoidal weight array (grid shaped)."""
@@ -86,8 +96,7 @@ class Grid4D:
         if f.shape != self.shape:
             raise ValueError(f"field shape {f.shape} does not match grid {self.shape}")
         out = f
-        for i in range(4):
-            w = self.axis_weights(i)
+        for w in self._axis_weights:
             out = np.tensordot(out, w, axes=([0], [0]))
         return float(out)
 

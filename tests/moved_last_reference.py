@@ -4,7 +4,9 @@ Here each axis is moved last: bands are (..., n), and the Thomas sweeps
 read and write the strided slices [..., i] through separate elimination
 and solution arrays. The production solver stores and sweeps everything
 solve axis first and must give the same bits; ``test_layout.py`` asserts
-that with ``np.array_equal``.
+that with ``np.array_equal``. The transposed step rebuilds the forward
+stages from the step's result instead of replaying it; ``stages`` is the
+replay it is held to.
 """
 
 import numpy as np
@@ -79,25 +81,61 @@ def _bands_and_factors(stepper, u, dt):
     return bands, factors
 
 
-def step(stepper, f, u, dt):
-    """One step of ``stepper``'s scheme, moved-last."""
+def stages(stepper, f, u, dt):
+    """The stages g_1, ..., g_d of one step of ``stepper``'s scheme,
+    replayed moved-last; g_d is the step's result."""
     bands, factors = _bands_and_factors(stepper, u, dt)
     af = [_along(j, band_apply, f, bands[j]) for j in range(stepper.ndim)]
     g = f + dt * sum(af)
+    out = []
     for j in range(stepper.ndim):
         g = _along(j, thomas_factored_solve, g - 0.5 * dt * af[j], factors[j])
-    return g
+        out.append(g)
+    return out
 
 
-def step_transpose(stepper, u, dt, p):
-    """M^T p for one step of ``stepper``'s scheme, moved-last."""
-    half = 0.5 * dt
-    bands, factors = _bands_and_factors(stepper, u, dt)
+def step(stepper, f, u, dt):
+    """One step of ``stepper``'s scheme, moved-last."""
+    return stages(stepper, f, u, dt)[-1]
+
+
+def adjoint_stages(stepper, u, dt, p):
+    """The transposed solves' stages q_1, ..., q_d for the adjoint p."""
+    _, factors = _bands_and_factors(stepper, u, dt)
     q = [None] * stepper.ndim
     v = p
     for j in range(stepper.ndim - 1, -1, -1):
         v = np.moveaxis(thomas_factored_solve(factors[j], np.moveaxis(v, j, -1), True), -1, j)
         q[j] = v
+    return q
+
+
+def step_transpose(stepper, u, dt, p):
+    """M^T p for one step of ``stepper``'s scheme, moved-last."""
+    half = 0.5 * dt
+    bands, _ = _bands_and_factors(stepper, u, dt)
+    q = adjoint_stages(stepper, u, dt, p)
     q1 = q[0]
     return q1 + sum(_along(j, band_apply_transpose, dt * q1 - half * q[j], bands[j])
                     for j in range(stepper.ndim))
+
+
+def sensitivities(stepper, f, u, dt, p):
+    """The dose sensitivities <p, dM/du_c f> from the replayed stages.
+
+    The predictor contributes dt <q_1, C_j f> and correction j
+    dt/2 <q_j, C_j (g_j - f)>, with C_j applied as the full product of
+    ``AxisDiscretization.control_bands``.
+    """
+    g = stages(stepper, f, u, dt)
+    q = adjoint_stages(stepper, u, dt, p)
+    sens = [0.0, 0.0]
+    for c in (1, 2):
+        for j, ax in enumerate(stepper.axes):
+            cbands = ax.control_bands(*u, c)
+            if cbands is None:
+                continue
+            cbands = moved_last(cbands)
+            for weight, x, qv in ((dt, f, q[0]), (0.5 * dt, g[j] - f, q[j])):
+                sens[c - 1] += weight * float(np.sum(qv * _along(j, band_apply, x, cbands)))
+    return tuple(sens)

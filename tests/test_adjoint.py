@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fpcontrol import fpsolver
 from fpcontrol.adjoint import adjoint_gradient, gradient_check, objective
 from fpcontrol.fpsolver import AxisDiscretization, DensityField, build_fp_stepper, solve_forward
 from fpcontrol.grid import Grid4D
@@ -221,13 +222,36 @@ class TestStepTranspose:
         stepper.step_transpose(f, f_next, u, 0.25, rng.normal(size=grid.shape))
         assert [id(ax) for ax in calls] == [id(ax) for ax in stepper.axes * 2]
 
+    def test_later_transposed_step_replays_nothing(self, monkeypatch):
+        # no forward solve: d transposed solves on factors alone, and
+        # 2d - 1 band products, d - 1 rebuilding the stages from f_next
+        # and d transposed ones
+        grid, stepper, u, rng = seeded_step_case(seed=5)
+        f = rng.uniform(size=grid.shape)
+        f_next = stepper.step(f, u, 0.25)
+        stepper.step_transpose(f, f_next, u, 0.25, rng.normal(size=grid.shape))
+        calls = []
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(fpsolver, name, counted)
+
+        for name in ("_band_apply", "thomas_solve", "thomas_factored_solve"):
+            spy(name, getattr(fpsolver, name))
+        stepper.step_transpose(f, f_next, u, 0.25, rng.normal(size=grid.shape))
+        assert calls.count("_band_apply") == 2 * stepper.ndim - 1
+        assert calls.count("thomas_factored_solve") == stepper.ndim
+        assert "thomas_solve" not in calls
+
     def test_face_sums_match_the_control_bands(self):
         grid, stepper, (u1, u2), rng = seeded_step_case(seed=9)
         x = rng.normal(size=grid.shape)
         qv = rng.normal(size=grid.shape)
         for j, ax in enumerate(stepper.axes):
             ax.operator_bands(u1, u2)
-            work = [np.empty(grid.shape) for _ in range(3)]
+            work = np.empty(grid.shape)
             v = ax.dose_face_sums(((1.0, np.moveaxis(x, j, 0), np.moveaxis(qv, j, 0)),), work)
             for channel, g in ((1, ax.g1_face), (2, ax.g2_face)):
                 cbands = ax.control_bands(u1, u2, channel)

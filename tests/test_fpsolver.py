@@ -293,9 +293,9 @@ class TestDgStep:
             tracemalloc.stop()
 
     def test_later_transposed_steps_replay_in_the_work_arrays(self, rng):
-        # step_transpose replays the stages in the step's work arrays and
-        # factors in its axes' bands, and forms the adjoint stages, the
-        # face sums and the products in arrays it owns or borrows: a later
+        # step_transpose factors in its axes' bands and rebuilds the stages,
+        # forms the adjoint stages, the face sums and the products in the
+        # step's work arrays and arrays it owns or borrows: a later
         # call allocates only the array it returns, last, the forward
         # step's bound. Temporaries per product and stage read 16.2 snapshots
         grid = Grid4D.cube(0.0, 6.0, 13)

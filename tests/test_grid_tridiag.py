@@ -53,6 +53,30 @@ class TestGrid4D:
         for i in range(4):
             assert np.allclose(g.marginal(f, i), parts[i], rtol=1e-12)
 
+    def test_quadratures_keep_the_bits_of_fresh_weights(self):
+        # the 1D weights are built once per grid; integrate and marginal
+        # must give the bits of the loop that built them on every call
+        g = Grid4D(lo=(0.0,) * 4, hi=(6.0, 5.5, 5.0, 4.5), npts=(13, 12, 11, 10))
+
+        def fresh(i):
+            w = np.full(g.npts[i], g.h)
+            w[0] = w[-1] = 0.5 * g.h
+            return w
+
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            f = rng.uniform(size=g.shape)
+            out = f
+            for i in range(4):
+                out = np.tensordot(out, fresh(i), axes=([0], [0]))
+            assert g.integrate(f) == float(out)
+            for axis in range(4):
+                out = f
+                for other in sorted(set(range(4)) - {axis}, reverse=True):
+                    out = np.tensordot(out, fresh(other), axes=([other], [0]))
+                assert g.marginal(f, axis).tobytes() == out.tobytes()
+        assert not g.axis_weights(0).flags.writeable
+
     def test_contains(self):
         g = Grid4D.cube(0.0, 6.0, 9)
         assert g.contains([0.0, 6.0, 3.0, 1.0])

@@ -6,8 +6,15 @@ import pytest
 
 import moved_last_reference as ref
 from fpcontrol.adjoint import adjoint_gradient
-from fpcontrol.fpsolver import _band_apply, _implicit_bands, build_fp_stepper, solve_forward
-from fpcontrol.model import ControlSchedule
+from fpcontrol.fpsolver import (
+    AxisDiscretization,
+    _band_apply,
+    _implicit_bands,
+    build_fp_stepper,
+    solve_forward,
+)
+from fpcontrol.grid import Grid4D
+from fpcontrol.model import ControlSchedule, DispersionSpec
 from fpcontrol.target import gaussian_on_grid
 from fpcontrol.tridiag import thomas_factor, thomas_factored_solve
 
@@ -80,6 +87,67 @@ class TestMatchesMovedLastReference:
         for m in range(8):
             f = ref.step(stepper, f, u.at_index(m), 0.25)
             assert same_bits(field.snapshot(m + 1), f), m
+
+
+class TestStagesFromTheResult:
+    # step_transpose rebuilds the forward stages g_j - f from f_next by
+    # explicit products instead of replaying the step: M^T p keeps the
+    # replay's bits, the stages and the sensitivities its values to rounding
+
+    @staticmethod
+    def rebuilt_stages(stepper, f, u, dt, p, monkeypatch):
+        """d_j = g_j - f as step_transpose hands it to axis j's face sums."""
+        seen = {}
+        ids = [id(ax) for ax in stepper.axes]
+        face_sums = AxisDiscretization.dose_face_sums
+
+        def recording(ax, terms, work):
+            j = ids.index(id(ax))
+            seen[j] = np.moveaxis(terms[1][1], 0, j).copy()
+            return face_sums(ax, terms, work)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(AxisDiscretization, "dose_face_sums", recording)
+            stepper.step_transpose(f, stepper.step(f, u, dt), u, dt, p)
+        return [seen[j] for j in range(stepper.ndim)]
+
+    def assert_stages_match_the_replay(self, stepper, f, u, dt, p, monkeypatch):
+        rebuilt = self.rebuilt_stages(stepper, f, u, dt, p, monkeypatch)
+        for j, g in enumerate(ref.stages(stepper, f, u, dt)):
+            want = g - f
+            assert np.max(np.abs(rebuilt[j] - want)) <= 1e-13 * np.max(np.abs(want)), j
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stages_match_the_replay(self, seed, monkeypatch):
+        grid, stepper, u, rng = seeded_step_case(seed=seed)
+        self.assert_stages_match_the_replay(stepper, rng.uniform(size=grid.shape), u, 0.25,
+                                            rng.normal(size=grid.shape), monkeypatch)
+
+    def test_stages_match_the_replay_at_21(self, monkeypatch):
+        grid = Grid4D.cube(0.0, 6.0, 21)
+        stepper = build_fp_stepper(grid, weak_patient(), DispersionSpec())
+        rng = np.random.default_rng(21)
+        f = gaussian_on_grid(grid, np.array([0.5, 1.0, 1.0, 1.0]), 0.25)
+        self.assert_stages_match_the_replay(stepper, f, (5.0, 0.05), 0.04,
+                                            rng.normal(size=grid.shape), monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_transposed_step_keeps_the_replays_bits(self, seed):
+        grid, stepper, u, rng = seeded_step_case(seed=seed)
+        f = rng.uniform(size=grid.shape)
+        p = rng.normal(size=grid.shape)
+        mtp, _ = stepper.step_transpose(f, stepper.step(f, u, 0.25), u, 0.25, p)
+        assert same_bits(mtp, ref.step_transpose(stepper, u, 0.25, p))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sensitivities_match_the_replay(self, seed):
+        grid, stepper, u, rng = seeded_step_case(seed=seed)
+        f = rng.uniform(size=grid.shape)
+        p = rng.normal(size=grid.shape)
+        _, sens = stepper.step_transpose(f, stepper.step(f, u, 0.25), u, 0.25, p)
+        want = ref.sensitivities(stepper, f, u, 0.25, p)
+        for got, ref_value in zip(sens, want):
+            assert abs(got - ref_value) <= 1e-13 * abs(ref_value)
 
 
 class TestInputsStayUnchanged:

@@ -2,6 +2,7 @@ import dataclasses
 import filecmp
 import gc
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fpcontrol
 from fpcontrol.adjoint import time_weights
 from fpcontrol.cli import main as cli_main
 from fpcontrol.grid import Grid4D
@@ -397,9 +399,13 @@ class TestCli:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_entry_point_runs_in_subprocess(self, tmp_path):
+        # the child finds the package the tests imported, installed or not
+        src = str(Path(fpcontrol.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
         result = subprocess.run(
             [sys.executable, "-m", "fpcontrol.cli", "target",
              scenario_path("demo_small"), "--out", str(tmp_path / "sp")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0, result.stderr
