@@ -140,18 +140,20 @@ def adjoint_gradient(
 # ---------------------------------------------------------------------------
 # Finite-difference audit
 
+AUDIT_DIRECTIONS = 5  # random directions per audit
+AUDIT_EPS = 1e-4  # central-difference step along a unit max-norm direction
+
 
 def gradient_check(
     objective_fn,
     gradient: ControlGradient,
     u: ControlSchedule,
-    n_directions: int = 5,
-    eps: float = 1e-4,
     seed: int = 0,
 ):
     """Compare adjoint directional derivatives with central differences.
 
-    Directions are random in both channels, scaled to unit max norm.
+    ``AUDIT_DIRECTIONS`` directions, random in both channels and scaled
+    to unit max norm, each differenced with step ``AUDIT_EPS``.
     Returns (rows, max_relative_error); each row holds the adjoint and
     finite-difference values with their relative error.
     """
@@ -159,16 +161,16 @@ def gradient_check(
     wt = time_weights(u.times)
     rows = []
     worst = 0.0
-    for k in range(n_directions):
+    for k in range(AUDIT_DIRECTIONS):
         psi1 = rng.uniform(-1.0, 1.0, u.times.size)
         psi2 = rng.uniform(-1.0, 1.0, u.times.size)
         scale = max(np.max(np.abs(psi1)), np.max(np.abs(psi2)))
         psi1 /= scale
         psi2 /= scale
         adj = float(np.sum(wt * (gradient.g1 * psi1 + gradient.g2 * psi2)))
-        u_plus = u.with_values(u.u1 + eps * psi1, u.u2 + eps * psi2)
-        u_minus = u.with_values(u.u1 - eps * psi1, u.u2 - eps * psi2)
-        fd = (objective_fn(u_plus) - objective_fn(u_minus)) / (2.0 * eps)
+        u_plus = u.with_values(u.u1 + AUDIT_EPS * psi1, u.u2 + AUDIT_EPS * psi2)
+        u_minus = u.with_values(u.u1 - AUDIT_EPS * psi1, u.u2 - AUDIT_EPS * psi2)
+        fd = (objective_fn(u_plus) - objective_fn(u_minus)) / (2.0 * AUDIT_EPS)
         denom = max(abs(adj), abs(fd), 1e-14)
         rel = abs(adj - fd) / denom
         worst = max(worst, rel)

@@ -53,6 +53,9 @@ _COMMANDS = {
                _print_summary("max target mass error {max_mass_error:.3e}")),
 }
 
+# the commands whose solves keep a forward history to thin
+_CHECKPOINTED = {"solve", "forward", "gradcheck"}
+
 
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than ``low``."""
@@ -83,8 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the scenario seed")
         p.add_argument("--full-scale", action="store_true",
                        help="use the production grid and time resolution")
-        p.add_argument("--checkpoint-every", type=_int_at_least(1), default=1, metavar="K",
-                       help="store every K-th snapshot and recompute between")
+        if name in _CHECKPOINTED:
+            p.add_argument("--checkpoint-every", type=_int_at_least(1), default=1,
+                           metavar="K", help="store every K-th snapshot and recompute between")
     return parser
 
 
@@ -106,8 +110,9 @@ def main(argv=None) -> int:
     out_dir = args.out or str(Path("runs") / f"{scenario.name}-{args.command}")
     _, runner, summarize = _COMMANDS[args.command]
     try:
-        result = runner(scenario, out_dir, seed=args.seed,
-                        checkpoint_every=args.checkpoint_every)
+        options = ({"checkpoint_every": args.checkpoint_every}
+                   if "checkpoint_every" in args else {})
+        result = runner(scenario, out_dir, seed=args.seed, **options)
         return summarize(result, out_dir)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

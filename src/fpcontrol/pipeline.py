@@ -300,14 +300,12 @@ def run_forward(scenario: Scenario, out_dir, seed: int | None = None,
     }
 
 
-def run_oracle(scenario: Scenario, out_dir, seed: int | None = None,
-               checkpoint_every: int = 1) -> dict:
+def run_oracle(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
     """Density solver vs Monte Carlo marginal comparison (no treatment).
 
     The solve stores only steps 0, n/2 and n, the checkpoints of stride
     n/2: exactly the snapshots the comparison reads, so nothing is
-    re-stepped. ``checkpoint_every`` (``--checkpoint-every``) has no
-    effect here.
+    re-stepped.
     """
     # both comparisons, at t_final/2 and t_final, must fall on a step of each grid
     for key, steps in (("time.n_steps", scenario.n_steps), ("sde.n_steps", scenario.sde_steps)):
@@ -369,8 +367,7 @@ def run_gradcheck(scenario: Scenario, out_dir, seed: int | None = None,
         scenario.d1, scenario.d2,
     )
     g = problem.gradient(u)
-    rows, worst = gradient_check(problem.objective, g, u, n_directions=5,
-                                 eps=1e-4, seed=ctx.seed)
+    rows, worst = gradient_check(problem.objective, g, u, seed=ctx.seed)
     lines = ["adjoint gradient vs central finite differences", ""]
     for r in rows:
         lines.append(
@@ -384,8 +381,7 @@ def run_gradcheck(scenario: Scenario, out_dir, seed: int | None = None,
     return {"worst_relative_error": worst, "rows": rows}
 
 
-def run_target(scenario: Scenario, out_dir, seed: int | None = None,
-               checkpoint_every: int = 1) -> dict:
+def run_target(scenario: Scenario, out_dir, seed: int | None = None) -> dict:
     """Emit the target trajectory and per-axis target marginals."""
     ctx = _prepare(scenario, out_dir, seed)
     out, grid, t_grid = ctx.out, ctx.grid, ctx.t_grid

@@ -3,9 +3,9 @@
 The loop follows the published pattern: steepest-descent start, Armijo
 backtracking along the projected path, Hager-Zhang momentum with a
 curvature guard that falls back to steepest descent, and a step-norm
-stopping rule. Gradients may be smoothed in time (a Sobolev-style
-representation) before they shape search directions; the raw gradient
-still measures descent so the sufficient-decrease test stays exact.
+stopping rule. Search directions come from the gradient smoothed in
+time (a Sobolev-style representation); the raw gradient still measures
+descent so the sufficient-decrease test stays exact.
 """
 
 from __future__ import annotations
@@ -23,26 +23,29 @@ __all__ = ["PncgConfig", "OptimizationTrace", "armijo_step",
            "hager_zhang_beta", "smooth_gradient", "pncg"]
 
 
+ARMIJO_ALPHA0 = 1.0  # first trial step
+ARMIJO_RHO = 0.5  # backtracking shrink factor
+ARMIJO_C1 = 1e-4  # sufficient-decrease constant
+ARMIJO_MAX_BACKTRACKS = 40  # shrinks before the search gives up
+H1_EPSILON = 1e-2  # weight of the time-derivative term in smooth_gradient
+
+
 @dataclass(frozen=True)
 class PncgConfig:
+    """Iteration cap and step-norm tolerance, the settings scenarios vary.
+
+    The rest is fixed: the Armijo constants ``ARMIJO_*`` (c1 = 1e-4 and a
+    unit first step as in Nocedal & Wright 2006 §3.1, halved on each
+    backtrack) and the smoothing weight ``H1_EPSILON``, the values every
+    bundled scenario ran with.
+    """
+
     k_max: int = 200
     tol: float = 1e-5
-    armijo_alpha0: float = 1.0
-    armijo_rho: float = 0.5
-    armijo_c1: float = 1e-4
-    armijo_max_backtracks: int = 40
-    use_h1_gradient: bool = True
-    h1_epsilon: float = 1e-2
 
     def __post_init__(self):
         if self.k_max < 1 or self.tol <= 0:
             raise ValueError("k_max must be >= 1 and tol positive")
-        if not 0 < self.armijo_rho < 1:
-            raise ValueError("backtracking factor must lie in (0, 1)")
-        if self.armijo_alpha0 <= 0 or self.armijo_c1 <= 0:
-            raise ValueError("Armijo parameters must be positive")
-        if self.h1_epsilon <= 0:
-            raise ValueError("h1_epsilon must be positive")
 
 
 @dataclass
@@ -119,7 +122,6 @@ def armijo_step(
     g: np.ndarray,
     j_eval,
     j0: float,
-    cfg: PncgConfig,
 ):
     """Backtracking line search along the projected path.
 
@@ -129,22 +131,22 @@ def armijo_step(
     Returns (alpha, trial schedule, J(trial), backtracks used).
     """
     times = u.times
-    alpha = cfg.armijo_alpha0
-    for j in range(cfg.armijo_max_backtracks + 1):
+    alpha = ARMIJO_ALPHA0
+    for j in range(ARMIJO_MAX_BACKTRACKS + 1):
         trial = _shift(u, alpha * d).clipped()
         step = np.concatenate([trial.u1 - u.u1, trial.u2 - u.u2])
         slope = _inner(times, g, step)
         if slope < 0.0:
             j_trial = j_eval(trial)
-            if j_trial <= j0 + cfg.armijo_c1 * slope:
+            if j_trial <= j0 + ARMIJO_C1 * slope:
                 return alpha, trial, j_trial, j
         elif np.all(step == 0.0):
             # projection swallowed the whole step: nothing to try at
             # smaller alpha either if d points strictly outward
             return 0.0, u.copy(), j0, j
-        alpha *= cfg.armijo_rho
+        alpha *= ARMIJO_RHO
     raise LineSearchError(
-        f"no sufficient decrease within {cfg.armijo_max_backtracks} backtracks"
+        f"no sufficient decrease within {ARMIJO_MAX_BACKTRACKS} backtracks"
     )
 
 
@@ -164,15 +166,13 @@ def hager_zhang_beta(g_next: np.ndarray, y: np.ndarray, d: np.ndarray,
     return _inner(times, adjusted, g_next) / dy
 
 
-def pncg(u0: ControlSchedule, problem, cfg: PncgConfig | None = None):
+def pncg(u0: ControlSchedule, problem, cfg: PncgConfig = PncgConfig()):
     """Minimize the problem's objective over the admissible dose box.
 
     ``problem`` provides objective(u) -> float and gradient(u) ->
     ControlGradient. Returns (best schedule, trace); on a line-search
     failure the best iterate so far comes back with the failure flagged.
     """
-    if cfg is None:
-        cfg = PncgConfig()
     if not u0.is_admissible():
         raise ValueError("initial schedule violates the dose box")
     times = u0.times
@@ -181,8 +181,7 @@ def pncg(u0: ControlSchedule, problem, cfg: PncgConfig | None = None):
     u = u0.copy()
     j_curr = problem.objective(u)
     g_raw = problem.gradient(u)
-    g_rep = smooth_gradient(g_raw, cfg.h1_epsilon) if cfg.use_h1_gradient else g_raw
-    g_rep_v = _stack(g_rep)
+    g_rep_v = _stack(smooth_gradient(g_raw, H1_EPSILON))
     g_raw_v = _stack(g_raw)
     d = -g_rep_v
 
@@ -202,7 +201,7 @@ def pncg(u0: ControlSchedule, problem, cfg: PncgConfig | None = None):
         while True:
             try:
                 alpha, u_next, j_next, used = armijo_step(u, d, g_raw_v, problem.objective,
-                                                          j_curr, cfg)
+                                                          j_curr)
                 break
             except LineSearchError:
                 if np.array_equal(d, -g_raw_v):
@@ -216,9 +215,7 @@ def pncg(u0: ControlSchedule, problem, cfg: PncgConfig | None = None):
         step_norm = _norm(times, np.concatenate([u_next.u1 - u.u1, u_next.u2 - u.u2]))
 
         g_raw_next = problem.gradient(u_next)
-        g_rep_next = (smooth_gradient(g_raw_next, cfg.h1_epsilon)
-                      if cfg.use_h1_gradient else g_raw_next)
-        g_rep_next_v = _stack(g_rep_next)
+        g_rep_next_v = _stack(smooth_gradient(g_raw_next, H1_EPSILON))
         y = g_rep_next_v - g_rep_v
         beta = hager_zhang_beta(g_rep_next_v, y, d, times)
         d = -g_rep_next_v + beta * d

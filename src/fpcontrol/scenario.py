@@ -89,8 +89,7 @@ class Scenario:
 
 _REQUIRED = object()
 _BOUND_CHECKS = {">": operator.gt, ">=": operator.ge}
-_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
-               bool: "true or false"}
+_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string"}
 
 # YAML block -> (Scenario field, dataclass). The dataclass gives the
 # block's keys, their types and defaults, and validates the values.
@@ -112,7 +111,7 @@ _BLOCK_BOUNDS = {
 # type is a list of that many numbers.
 _FIELDS = {
     f"{block}.{f.name}": (
-        attr, {"float": float, "int": int, "bool": bool}[f.type],
+        attr, {"float": float, "int": int}[f.type],
         _REQUIRED if f.default is dataclasses.MISSING else f.default,
         _BLOCK_BOUNDS.get(f"{block}.{f.name}"),
     )
@@ -141,8 +140,8 @@ _FIELDS.update({
     "objective.nu2": ("nu2", float, 0.01, (">=", 0.0)),
     "dose_bounds.d1": ("d1", float, 7.0, (">=", 0.0)),
     "dose_bounds.d2": ("d2", float, 0.072, (">=", 0.0)),
-    "dose_scales.chemo_mg_per_day": ("chemo_scale", float, 1.0, None),
-    "dose_scales.il2_iu_per_l_per_day": ("il2_scale", float, 1.0e7, None),
+    "dose_scales.chemo_mg_per_day": ("chemo_scale", float, 1.0, (">", 0.0)),
+    "dose_scales.il2_iu_per_l_per_day": ("il2_scale", float, 1.0e7, (">", 0.0)),
     "sde.n_paths": ("sde_paths", int, 100_000, (">=", 1)),
     "sde.n_steps": ("sde_steps", int, 1000, (">=", 1)),
 })
@@ -161,7 +160,7 @@ def _convert(key: str, kind, value):
             raise ScenarioError(f"field {key} must be a list of {len(kind)} numbers, "
                                 f"got {value!r}")
         return tuple(_convert(key, float, v) for v in value)
-    if isinstance(value, bool) or kind in (str, bool):
+    if isinstance(value, bool) or kind is str:
         if type(value) is kind:
             return value
     elif kind is int and isinstance(value, int):

@@ -195,7 +195,6 @@ def marginal_histogram(ens: PathEnsemble, t_index: int, axis: int,
         raise ValueError("empty ensemble")
     values = ens.states_at(t_index)[:, axis]
     nodes = np.asarray(grid_axis, dtype=float)
-    h = nodes[1] - nodes[0]
     edges = np.concatenate(([nodes[0]], 0.5 * (nodes[:-1] + nodes[1:]), [nodes[-1]]))
     counts, _ = np.histogram(values, bins=edges)
     widths = np.diff(edges)

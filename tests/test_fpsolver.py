@@ -494,29 +494,3 @@ class TestSolveForward:
         with pytest.raises(SolverError, match="after step 1"):
             solve_forward(f0, u, weak_patient(), grid, disp=DispersionSpec(scale=0.0))
 
-
-class TestConvergenceOrder:
-    def test_second_order_on_ou_transient(self):
-        # joint space-time refinement on the 2D mean-reverting problem
-        theta, sigma, t_end = 1.0, 0.5, 1.0
-        v0, m0 = 0.16, (2.6, 3.5)
-        errors = []
-        for n, nt in ((17, 10), (33, 20), (65, 40)):
-            ax1, x1, h = make_ou_axis(n, 0.0, 6.0, theta, 3.0, sigma, ndim=2)
-            ax2, x2, _ = make_ou_axis(n, 0.0, 6.0, theta, 3.0, sigma, ndim=2)
-            stepper = DgStepper([ax1, ax2], (n, n))
-            w = np.full(n, h)
-            w[0] = w[-1] = h / 2
-            f = gauss(x1, m0[0], v0)[:, None] * gauss(x2, m0[1], v0)[None, :]
-            f /= np.sum(w[:, None] * w[None, :] * f)
-            dt = t_end / nt
-            for _ in range(nt):
-                f = stepper.step(f, (0.0, 0.0), dt)
-            vinf = sigma**2 / (2 * theta)
-            v_t = v0 * np.exp(-2 * theta * t_end) + vinf * (1 - np.exp(-2 * theta * t_end))
-            m1 = 3.0 + (m0[0] - 3.0) * np.exp(-theta * t_end)
-            m2 = 3.0 + (m0[1] - 3.0) * np.exp(-theta * t_end)
-            exact = gauss(x1, m1, v_t)[:, None] * gauss(x2, m2, v_t)[None, :]
-            errors.append(np.sum(w[:, None] * w[None, :] * np.abs(f - exact)))
-        orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
-        assert min(orders) >= 1.7

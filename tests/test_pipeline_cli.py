@@ -183,7 +183,7 @@ class TestHistoryLifetime:
 
         monkeypatch.setattr(pipeline, "solve_forward", spying_solve)
         monkeypatch.setattr(pipeline, "simulate_paths", spying_simulate)
-        info = run_oracle(scenario, tmp_path, checkpoint_every=3)
+        info = run_oracle(scenario, tmp_path)
         assert seen["stored"] == [0, n // 2, n]
         grid, ens, full = scenario.grid(), seen["ensemble"], seen["full"]
         want = []
@@ -273,7 +273,6 @@ class TestCli:
 
     @pytest.mark.parametrize("line, bad_line, field", [
         ("  npoints: 13", "  npoints: nine", "grid.npoints"),
-        ("  use_h1_gradient: true", '  use_h1_gradient: "false"', "optimizer.use_h1_gradient"),
         ("  scale: 0.5", "  scale: 0", "dispersion.scale"),
         ("  exponent: 1.2", "  exponent: -1", "dispersion.exponent"),
         ("  lo: 0.0", "  lo: -1", "domain.lo"),
@@ -282,8 +281,11 @@ class TestCli:
         ("  npoints: 13", "  npoints: 9.7", "grid.npoints"),
         ("time:", "tme:", "tme"),
         ("  k_max: 30", "  kmax: 3", "optimizer.kmax"),
-    ], ids=["npoints", "use_h1_gradient", "dispersion_scale", "dispersion_exponent",
-            "domain_lo", "seed", "t_final_nan", "npoints_fraction", "tme", "kmax"])
+        ("  chemo_mg_per_day: 1.0", "  chemo_mg_per_day: -1.0", "dose_scales.chemo_mg_per_day"),
+        ("  il2_iu_per_l_per_day: 1.0e+7", "  il2_iu_per_l_per_day: 0",
+         "dose_scales.il2_iu_per_l_per_day"),
+    ], ids=["npoints", "dispersion_scale", "dispersion_exponent", "domain_lo", "seed",
+            "t_final_nan", "npoints_fraction", "tme", "kmax", "chemo_scale", "il2_scale"])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, line, bad_line, field):
         text = Path(scenario_path("testcase1")).read_text()
         assert line in text
@@ -302,12 +304,16 @@ class TestCli:
         assert cli_main(["target", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--seed", "-1"), ("--seed", "seven"), ("--checkpoint-every", "0"),
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param("gradcheck", "--seed", "-1", id="--seed--1"),
+        pytest.param("gradcheck", "--seed", "seven", id="--seed-seven"),
+        pytest.param("gradcheck", "--checkpoint-every", "0", id="--checkpoint-every-0"),
+        # the oracle stores exactly the snapshots it reads, so it takes no stride
+        pytest.param("oracle", "--checkpoint-every", "2", id="oracle--checkpoint-every-2"),
     ])
-    def test_bad_integer_option_exits_2(self, tmp_path, flag, value):
+    def test_bad_integer_option_exits_2(self, tmp_path, command, flag, value):
         with pytest.raises(SystemExit) as exc:
-            cli_main(["gradcheck", scenario_path("demo_small"), "--out", str(tmp_path),
+            cli_main([command, scenario_path("demo_small"), "--out", str(tmp_path),
                       flag, value])
         assert exc.value.code == 2
 

@@ -5,6 +5,7 @@ from fpcontrol.adjoint import ControlGradient, time_weights
 from fpcontrol.errors import LineSearchError
 from fpcontrol.model import ControlSchedule
 from fpcontrol.pncg import (
+    H1_EPSILON,
     PncgConfig,
     armijo_step,
     hager_zhang_beta,
@@ -67,7 +68,7 @@ class TestArmijo:
         gv = np.concatenate([g.g1, g.g2])
         d = -gv
         alpha, trial, j_trial, backtracks = armijo_step(
-            u, d, gv, prob.objective, prob.objective(u), PncgConfig())
+            u, d, gv, prob.objective, prob.objective(u))
         assert alpha == 1.0
         assert backtracks == 0
         assert j_trial < prob.objective(u)
@@ -77,7 +78,7 @@ class TestArmijo:
         u = ControlSchedule(t, np.clip(z1, 0, 7.0), np.clip(z2, 0, 0.072), 7.0, 0.072)
         zero = np.zeros(2 * t.size)
         alpha, trial, j_trial, _ = armijo_step(
-            u, zero, zero, prob.objective, prob.objective(u), PncgConfig())
+            u, zero, zero, prob.objective, prob.objective(u))
         assert alpha == 0.0
         assert np.array_equal(trial.u1, u.u1)
 
@@ -94,7 +95,7 @@ class TestArmijo:
         g = prob.gradient(u)
         gv = scale * np.concatenate([g.g1, g.g2])
         alpha, trial, j_trial, backtracks = armijo_step(
-            u, -gv, gv, j_eval, j_eval(u), PncgConfig())
+            u, -gv, gv, j_eval, j_eval(u))
         assert backtracks > 0
         assert j_trial < j_eval(u)
 
@@ -107,7 +108,7 @@ class TestArmijo:
             return 1.0
 
         with pytest.raises(LineSearchError):
-            armijo_step(u, ones, -ones, never_decreases, 0.5, PncgConfig())
+            armijo_step(u, ones, -ones, never_decreases, 0.5)
 
 
 class TestHagerZhangBeta:
@@ -144,12 +145,10 @@ class TestSmoothing:
 
 
 class TestPncg:
-    @pytest.mark.parametrize("use_h1", [False, True])
-    def test_converges_to_clipped_minimizer(self, use_h1):
+    def test_converges_to_clipped_minimizer(self):
         prob, t, z1, z2 = make_quadratic()
         u0 = ControlSchedule.zeros(10.0, 20, 7.0, 0.072)
-        cfg = PncgConfig(tol=1e-6, k_max=50, use_h1_gradient=use_h1)
-        u, trace = pncg(u0, prob, cfg)
+        u, trace = pncg(u0, prob, PncgConfig(tol=1e-6, k_max=50))
         assert trace.converged
         assert trace.iterations <= 50
         assert np.max(np.abs(u.u1 - np.clip(z1, 0.0, 7.0))) < 1e-6
@@ -183,29 +182,39 @@ class TestPncg:
         monkeypatch.setattr(pncg_module, "armijo_step", recording)
         prob, t, z1, z2 = make_quadratic(seed=12)
         u0 = ControlSchedule.zeros(10.0, 20, 7.0, 0.072)
-        _, trace = pncg(u0, prob, PncgConfig(tol=1e-8, k_max=10, armijo_alpha0=8.0))
+        _, trace = pncg(u0, prob, PncgConfig(tol=1e-8, k_max=10))
         assert sum(used) > 0
         assert trace.backtracks == sum(used)
 
-    def test_restart_uses_steepest_descent_exactly(self):
+    def test_restart_uses_steepest_descent_exactly(self, monkeypatch):
         # constant gradient field: y = 0 every iteration, so the guard
-        # fires and the direction must equal the negated gradient
+        # fires and the direction must equal the negated smoothed gradient
+        import fpcontrol.pncg as pncg_module
+
         t = np.linspace(0.0, 1.0, 5)
+        g = ControlGradient(t, np.ones(5), np.ones(5))
 
         class LinearProblem:
             def objective(self, u):
                 return float(np.sum(u.u1) + np.sum(u.u2)) + 1.0
 
             def gradient(self, u):
-                return ControlGradient(t, np.ones(5), np.ones(5))
+                return g
 
+        directions = []
+
+        def recording(u, d, *args):
+            directions.append(d.copy())
+            return armijo_step(u, d, *args)
+
+        monkeypatch.setattr(pncg_module, "armijo_step", recording)
         u0 = ControlSchedule.constant(1.0, 4, 3.0, 0.05, 7.0, 0.072)
-        u, trace = pncg(u0, LinearProblem(), PncgConfig(tol=1e-12, k_max=4,
-                                                        use_h1_gradient=False))
+        _, trace = pncg(u0, LinearProblem(), PncgConfig(tol=1e-12, k_max=4))
         assert all(b == 0.0 for b in trace.beta)
-        # minimum of a linear objective over the box is the lower corner
-        assert np.all(u.u1 == 0.0)
-        assert np.all(u.u2 == 0.0)
+        smoothed = smooth_gradient(g, H1_EPSILON)
+        assert directions
+        for d in directions:
+            assert np.array_equal(d, -np.concatenate([smoothed.g1, smoothed.g2]))
 
     def test_line_search_failure_returns_best_iterate(self):
         t = np.linspace(0.0, 1.0, 5)
@@ -243,10 +252,6 @@ class TestPncg:
 
 
 class TestConfigValidation:
-    def test_rejects_bad_backtracking_factor(self):
-        with pytest.raises(ValueError):
-            PncgConfig(armijo_rho=1.5)
-
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             PncgConfig(tol=0.0)
