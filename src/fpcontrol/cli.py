@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import LineSearchError, ScenarioError, SolverError
 from .pipeline import run_forward, run_gradcheck, run_oracle, run_pipeline, run_target
-from .scenario import load_scenario
+from .scenario import SEED_LIMIT, load_scenario
 
 
 def _print_solve(report, out_dir) -> int:
@@ -57,8 +57,8 @@ _COMMANDS = {
 _CHECKPOINTED = {"solve", "forward", "gradcheck"}
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+def _int_at_least(low: int, below: int | None = None):
+    """argparse type: an integer no smaller than ``low`` (and below ``below``)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -66,6 +66,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
         return value
 
     return parse
@@ -82,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="path to a .scenario file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=_int_at_least(0), default=None,
+        p.add_argument("--seed", type=_int_at_least(0, SEED_LIMIT), default=None,
                        help="override the scenario seed")
         p.add_argument("--full-scale", action="store_true",
                        help="use the production grid and time resolution")

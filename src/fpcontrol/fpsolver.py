@@ -572,7 +572,7 @@ class ForwardDiagnostics:
 
     mass: np.ndarray
     min_value: np.ndarray
-    l2_norm: np.ndarray
+    negative_mass: np.ndarray  # the integral of max(-f, 0)
 
     @property
     def max_mass_deviation(self) -> float:
@@ -676,14 +676,14 @@ def solve_forward(
     field = DensityField(grid, times, store_every=store_every, restepper=restep)
     mass = np.empty(n_steps + 1)
     min_value = np.empty(n_steps + 1)
-    l2 = np.empty(n_steps + 1)
+    negative_mass = np.empty(n_steps + 1)
 
     f = f0.copy()
-    square = np.empty(grid.shape)  # f * f for the L2 monitor, one buffer per solve
+    negative = np.empty(grid.shape)  # min(f, 0), one buffer per solve
     field.store(0, f)
     mass[0] = grid.integrate(f)
     min_value[0] = f.min()
-    l2[0] = math.sqrt(grid.integrate(np.multiply(f, f, out=square)))
+    negative_mass[0] = abs(grid.integrate(np.minimum(f, 0.0, out=negative)))
 
     for m in range(n_steps):
         f = stepper.step(f, u.at_index(m), dt)
@@ -693,9 +693,9 @@ def solve_forward(
             raise DivergenceError(f"density mass is {mass[m + 1]} after step {m + 1}",
                                   time=float(times[m + 1]))
         min_value[m + 1] = f.min()
-        l2[m + 1] = math.sqrt(grid.integrate(np.multiply(f, f, out=square)))
+        negative_mass[m + 1] = abs(grid.integrate(np.minimum(f, 0.0, out=negative)))
 
-    diag = ForwardDiagnostics(mass=mass, min_value=min_value, l2_norm=l2)
+    diag = ForwardDiagnostics(mass=mass, min_value=min_value, negative_mass=negative_mass)
     if diag.max_mass_deviation > 1e-8:
         log.warning("mass deviated by %.3e during the forward solve", diag.max_mass_deviation)
     return field, diag

@@ -188,8 +188,11 @@ def _mean_series(field: DensityField, grid: Grid4D):
     return np.array(rows)
 
 
+_DIAG_HEADER = ["t", "mass", "min_f", "negative_mass"]
+
+
 def _diag_rows(field: DensityField, diag):
-    return np.column_stack([field.times, diag.mass, diag.min_value, diag.l2_norm])
+    return np.column_stack([field.times, diag.mass, diag.min_value, diag.negative_mass])
 
 
 def run_pipeline(scenario: Scenario, out_dir, seed: int | None = None,
@@ -235,9 +238,8 @@ def run_pipeline(scenario: Scenario, out_dir, seed: int | None = None,
 
     emit("mean_untreated.csv", ["t", "T", "N", "L", "C"], mean_untr)
     emit("mean_treated.csv", ["t", "T", "N", "L", "C"], mean_tr)
-    emit("diagnostics_untreated.csv", ["t", "mass", "min_f", "l2_norm"], diag_rows_untr)
-    emit("diagnostics_treated.csv", ["t", "mass", "min_f", "l2_norm"],
-         _diag_rows(field_tr, diag_tr))
+    emit("diagnostics_untreated.csv", _DIAG_HEADER, diag_rows_untr)
+    emit("diagnostics_treated.csv", _DIAG_HEADER, _diag_rows(field_tr, diag_tr))
     emit("dosage.csv", ["t", "u1", "u2", "u1_mg_per_day", "u2_iu_per_l_per_day"],
          np.column_stack([u_star.times, u_star.u1, u_star.u2, u1_dim, u2_dim]))
     emit("trace.csv", ["k", "J", "grad_norm", "step_length", "beta", "active_bounds"],
@@ -286,8 +288,7 @@ def run_forward(scenario: Scenario, out_dir, seed: int | None = None,
                                 store_every=checkpoint_every)
     mean = _mean_series(field, grid)
     write_csv(out / "mean_untreated.csv", ["t", "T", "N", "L", "C"], mean)
-    write_csv(out / "diagnostics_untreated.csv", ["t", "mass", "min_f", "l2_norm"],
-              _diag_rows(field, diag))
+    write_csv(out / "diagnostics_untreated.csv", _DIAG_HEADER, _diag_rows(field, diag))
     final = field.snapshot(field.n_steps)
     write_density(out / "density_final.bin", final, grid, field.n_steps,
                   float(field.times[-1]))

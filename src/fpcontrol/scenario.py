@@ -87,8 +87,11 @@ class Scenario:
         return np.linspace(0.0, self.t_final, self.n_steps + 1)
 
 
+# np.random.Philox, which draws the oracle's noise, takes keys below 2**128
+SEED_LIMIT = 2**128
+
 _REQUIRED = object()
-_BOUND_CHECKS = {">": operator.gt, ">=": operator.ge}
+_BOUND_CHECKS = {">": operator.gt, ">=": operator.ge, "in": lambda value, allowed: value in allowed}
 _KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string"}
 
 # YAML block -> (Scenario field, dataclass). The dataclass gives the
@@ -120,7 +123,7 @@ _FIELDS = {
 _FIELDS.update({
     "name": ("name", str, None, None),
     "description": ("description", str, "", None),
-    "seed": ("seed", int, 0, (">=", 0)),
+    "seed": ("seed", int, 0, ("in", range(SEED_LIMIT))),
     "patient.d": ("patient_triple", float, _REQUIRED, None),
     "patient.l": ("patient_triple", float, _REQUIRED, None),
     "patient.s": ("patient_triple", float, _REQUIRED, None),

@@ -477,14 +477,17 @@ class TestSolveForward:
         with pytest.raises(ValueError, match="uniform"):
             solve_forward(f0, u, q, grid)
 
-    def test_l2_monitor_recorded(self):
+    def test_negative_mass_monitor_recorded(self):
         grid = Grid4D.cube(0.0, 6.0, 9)
         q = weak_patient()
         f0 = gaussian_on_grid(grid, [0.5, 1.0, 1.0, 1.0], 0.2)
         u = ControlSchedule.zeros(0.5, 10, 7.0, 0.072)
-        _, diag = solve_forward(f0, u, q, grid)
-        assert diag.l2_norm.shape == (11,)
-        assert np.all(diag.l2_norm > 0)
+        field, diag = solve_forward(f0, u, q, grid)
+        assert diag.negative_mass.shape == (11,)
+        assert np.all(diag.negative_mass >= 0)
+        for m in range(11):
+            negative_part = np.maximum(-field.snapshot(m), 0.0)
+            assert diag.negative_mass[m] == grid.integrate(negative_part), m
 
     def test_nonfinite_mass_stops_the_solve(self):
         # zero noise makes every face diffusion zero, so the first step is NaN
@@ -494,3 +497,32 @@ class TestSolveForward:
         with pytest.raises(SolverError, match="after step 1"):
             solve_forward(f0, u, weak_patient(), grid, disp=DispersionSpec(scale=0.0))
 
+
+
+class TestMarginalClosure:
+    """C's drift and noise depend on C and u1 only, and the other axes'
+    operators have zero weighted column sums, so the scheme's C marginal
+    is a closed 1D problem on C's faces."""
+
+    @pytest.mark.parametrize("n", [9, 13])
+    def test_c_marginal_equals_a_one_axis_solve(self, n):
+        sc = load_scenario(resources.files("fpcontrol") / "scenarios" / "testcase1.scenario")
+        grid = Grid4D.cube(sc.domain_lo, sc.domain_hi, n)
+        q = sc.nondim()
+        stepper = build_fp_stepper(grid, q, sc.dispersion)
+        c = stepper.axes[3]
+        line = DgStepper([AxisDiscretization(
+            n=c.n, h=c.h, dface=c.dface.ravel(), f0_face=c.f0_face.ravel(),
+            g1_face=c.g1_face.ravel(), g2_face=c.g2_face.ravel())], (n,))
+        rng = np.random.default_rng(31)
+        t = sc.time_grid()
+        u = ControlSchedule(t, rng.uniform(0.0, sc.d1, t.size), rng.uniform(0.0, sc.d2, t.size),
+                            sc.d1, sc.d2)
+        f0 = gaussian_on_grid(grid, sc.initial_state.as_array(), sc.target_variance)
+        field, _ = solve_forward(f0, u, q, grid, disp=sc.dispersion, stepper=stepper)
+        p = grid.marginal(f0, 3)
+        dt = t[1] - t[0]
+        for m in range(field.n_steps):
+            p = line.step(p, u.at_index(m), dt)
+            want = grid.marginal(field.snapshot(m + 1), 3)
+            assert np.max(np.abs(p - want)) <= 1e-13 * np.max(np.abs(want)), m + 1

@@ -277,6 +277,8 @@ class TestCli:
         ("  exponent: 1.2", "  exponent: -1", "dispersion.exponent"),
         ("  lo: 0.0", "  lo: -1", "domain.lo"),
         ("seed: 1234", "seed: -3", "seed"),
+        # np.random.Philox takes keys below 2**128
+        ("seed: 1234", f"seed: {2**128}", "seed"),
         ("  t_final: 10.0", "  t_final: .nan", "time.t_final"),
         ("  npoints: 13", "  npoints: 9.7", "grid.npoints"),
         ("time:", "tme:", "tme"),
@@ -285,7 +287,8 @@ class TestCli:
         ("  il2_iu_per_l_per_day: 1.0e+7", "  il2_iu_per_l_per_day: 0",
          "dose_scales.il2_iu_per_l_per_day"),
     ], ids=["npoints", "dispersion_scale", "dispersion_exponent", "domain_lo", "seed",
-            "t_final_nan", "npoints_fraction", "tme", "kmax", "chemo_scale", "il2_scale"])
+            "seed_2**128", "t_final_nan", "npoints_fraction", "tme", "kmax", "chemo_scale",
+            "il2_scale"])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, line, bad_line, field):
         text = Path(scenario_path("testcase1")).read_text()
         assert line in text
@@ -307,15 +310,17 @@ class TestCli:
     @pytest.mark.parametrize("command, flag, value", [
         pytest.param("gradcheck", "--seed", "-1", id="--seed--1"),
         pytest.param("gradcheck", "--seed", "seven", id="--seed-seven"),
+        pytest.param("oracle", "--seed", str(2**128), id="oracle--seed-2**128"),
         pytest.param("gradcheck", "--checkpoint-every", "0", id="--checkpoint-every-0"),
         # the oracle stores exactly the snapshots it reads, so it takes no stride
         pytest.param("oracle", "--checkpoint-every", "2", id="oracle--checkpoint-every-2"),
     ])
-    def test_bad_integer_option_exits_2(self, tmp_path, command, flag, value):
+    def test_bad_integer_option_exits_2(self, tmp_path, capsys, command, flag, value):
         with pytest.raises(SystemExit) as exc:
             cli_main([command, scenario_path("demo_small"), "--out", str(tmp_path),
                       flag, value])
         assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_full_scale_runs_at_the_full_scale_resolution(self, tmp_path):
         text = Path(scenario_path("demo_small")).read_text()

@@ -1,10 +1,13 @@
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from fpcontrol import ode
 from fpcontrol.grid import Grid4D
 from fpcontrol.ode import Trajectory
+from fpcontrol.scenario import load_scenario
 from fpcontrol.target import build_target, gaussian_on_grid
 
 
@@ -89,7 +92,6 @@ class TestBuildTarget:
         target = build_target(traj, 2, 0.2, grid, t_grid)
         a0, a1 = (gaussian_on_grid(grid, traj.state_at(t), 0.2) for t in target.anchor_times)
         mid = 0.5 * (a0 + a1)
-        mid /= grid.integrate(mid)
         assert np.allclose(target.snapshot(2), mid, atol=1e-14)
 
     def test_requires_two_anchors_and_positive_variance(self):
@@ -119,6 +121,16 @@ class TestBuildTarget:
             assert abs(grid.integrate(snap) - 1.0) < 1e-8
             assert snap.min() >= 0.0
 
+    def test_testcase1_steps_have_unit_mass_to_rounding(self):
+        # unit-mass 1D factors and convex blends: no step is renormalized
+        sc = load_scenario(resources.files("fpcontrol") / "scenarios" / "testcase1.scenario")
+        grid, t_grid = sc.grid(), sc.time_grid()
+        traj = ode.integrate(sc.initial_state, None, sc.nondim_target(), sc.t_final,
+                             max(1000, 10 * (t_grid.size - 1)))
+        target = build_target(traj, sc.n_anchors, sc.target_variance, grid, t_grid)
+        for m in range(target.n_steps + 1):
+            assert abs(grid.integrate(target.snapshot(m)) - 1.0) <= 1e-14, m
+
 
 def drifting_trajectory():
     times = np.linspace(0.0, 10.0, 50)
@@ -136,19 +148,30 @@ def drifting_target(grid, n_steps=40, n_anchors=7):
                         np.linspace(0.0, 10.0, n_steps + 1))
 
 
+def weighted_anchor(grid, center, variance, weight):
+    """weight times the Gaussian at ``center`` by the plain formula: four
+    1D factors, each divided by its trapezoid mass, the weight on the
+    first, multiplied out as (g0 g1)(g2 g3)."""
+    factors = []
+    for i in range(4):
+        g = np.exp(-((grid.axis(i) - center[i]) ** 2) / (2.0 * variance))
+        factors.append(g / (g @ grid.axis_weights(i)))
+    g0, g1, g2, g3 = factors
+    g01 = (weight * g0)[:, None] * g1
+    return g01[:, :, None, None] * (g2[:, None] * g3)
+
+
 def blend_reference(target, m):
-    """Step m's target by the plain formula: two anchors, each from
-    ``gaussian_on_grid`` at its trajectory point, scaled, summed, normalized."""
+    """Step m's target by the plain formula: two anchors at their
+    trajectory points, each with its blend weight, summed."""
     t = target.times[m]
     j = int(np.searchsorted(target.anchor_times, t, side="right") - 1)
     j = min(max(j, 0), target.anchor_times.size - 2)
     t0, t1 = target.anchor_times[j], target.anchor_times[j + 1]
     theta = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
     theta = min(max(theta, 0.0), 1.0)
-    a0, a1 = (gaussian_on_grid(target.grid, drifting_trajectory().state_at(tj), 0.2)
-              for tj in (t0, t1))
-    f = (1.0 - theta) * a0 + theta * a1
-    return f / target.grid.integrate(f)
+    return sum(weighted_anchor(target.grid, drifting_trajectory().state_at(tj), 0.2, weight)
+               for tj, weight in ((t0, 1.0 - theta), (t1, theta)))
 
 
 class TestOnDemandSnapshot:
@@ -175,8 +198,31 @@ class TestOnDemandSnapshot:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the anchors' 1D factors, one work array and the per-step masses;
-        # grid-size anchors would add 7 snapshots, an array kept per step 41
+        # the anchors' 1D factors and one work array; grid-size anchors
+        # would add 7 snapshots, an array kept per step 41
         factor_bytes = sum(g.nbytes for g in target.anchor_factors)
         assert factor_bytes == 7 * 4 * 9 * 8
         assert held <= factor_bytes + snapshot_bytes + 8192
+
+    def test_reads_integrate_nothing(self, monkeypatch):
+        target = drifting_target(Grid4D.cube(0.0, 6.0, 9))
+        calls = []
+        integrate = Grid4D.integrate
+        monkeypatch.setattr(Grid4D, "integrate",
+                            lambda grid, f: calls.append(1) or integrate(grid, f))
+        for _ in range(2):
+            for m in range(target.n_steps + 1):
+                target.snapshot(m)
+        assert not calls
+
+    def test_build_forms_nothing_grid_sized(self):
+        grid = Grid4D.cube(0.0, 6.0, 21)
+        traj = drifting_trajectory()
+        tracemalloc.start()
+        try:
+            target = build_target(traj, 7, 0.2, grid, np.linspace(0.0, 10.0, 41))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert target.n_steps == 40
+        assert peak < 8 * grid.cell_count()
